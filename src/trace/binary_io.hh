@@ -24,14 +24,18 @@
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "trace/codec.hh"
+#include "trace/memory_trace.hh"
 #include "trace/trace_source.hh"
 
 namespace bpsim
 {
+
+class MmapFile;
 
 /** Streams records into a BBT1 file. */
 class BinaryTraceWriter : public TraceWriter
@@ -62,7 +66,8 @@ class BinaryTraceWriter : public TraceWriter
     bool finished = false;
 };
 
-/** Reads a BBT1 file; the whole payload is validated at open time. */
+/** Reads a mapped BBT1 file; the whole payload is checksummed at open
+ *  time and records decode lazily. */
 class BinaryTraceReader : public TraceReader
 {
   public:
@@ -74,7 +79,10 @@ class BinaryTraceReader : public TraceReader
     std::optional<std::uint64_t> size() const override { return count; }
 
   private:
-    std::vector<std::uint8_t> payload;
+    /** Keeps the mapped payload alive. */
+    std::shared_ptr<const MmapFile> file;
+    const std::uint8_t *payload = nullptr;
+    std::size_t payloadSize = 0;
     std::uint64_t count = 0;
     std::uint64_t produced = 0;
     std::size_t offset = 0;
@@ -90,12 +98,17 @@ void readBinaryTrace(const std::string &path, TraceWriter &sink);
 /**
  * Non-fatal variant of readBinaryTrace() for callers that treat a
  * bad file as recoverable (the trace store regenerates instead of
- * terminating). Returns "" on success; otherwise the validation or
- * decode error, in which case @p sink holds a partial stream the
- * caller must discard. finish() is called on @p sink only on success.
+ * terminating). Returns "" on success, with @p out replaced by the
+ * file's records; otherwise the validation or decode error, with
+ * @p out untouched.
+ *
+ * Decodes in one pass over the mapped payload, checksumming each
+ * record's bytes as it goes, straight into the record vector. A
+ * corrupt payload reports "checksum mismatch" even when it also fails
+ * to decode, as a checksum-first reader would.
  */
 std::string tryReadBinaryTrace(const std::string &path,
-                               TraceWriter &sink);
+                               MemoryTrace &out);
 
 } // namespace bpsim
 

@@ -11,6 +11,7 @@
 #define BPSIM_TRACE_MEMORY_TRACE_HH
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "trace/trace_source.hh"
@@ -23,6 +24,12 @@ class MemoryTrace : public TraceWriter
 {
   public:
     MemoryTrace() = default;
+
+    /** Adopts @p records without copying. */
+    explicit MemoryTrace(std::vector<BranchRecord> records)
+        : records(std::move(records))
+    {
+    }
 
     /** Reserves capacity for @p n records. */
     void reserve(std::size_t n) { records.reserve(n); }

@@ -29,13 +29,48 @@ TraceStats::observe(const BranchRecord &record)
         return;
     }
     ++dynamicCount;
-    if (record.taken)
-        ++takenCount;
-    auto &entry = branches[record.pc];
-    entry.pc = record.pc;
+    takenCount += record.taken;
+    StaticBranchStats &entry = siteFor(record.pc);
     ++entry.executions;
-    if (record.taken)
-        ++entry.takenCount;
+    entry.takenCount += record.taken;
+}
+
+StaticBranchStats &
+TraceStats::siteFor(std::uint64_t pc)
+{
+    for (;;) {
+        StaticBranchStats *table = slots.data();
+        const std::size_t mask = slots.size() - 1;
+        std::size_t slot = homeSlot(pc);
+        while (table[slot].executions != 0) {
+            if (table[slot].pc == pc)
+                return table[slot];
+            slot = (slot + 1) & mask;
+        }
+        if (2 * (sites + 1) <= slots.size()) {
+            ++sites;
+            table[slot].pc = pc;
+            return table[slot];
+        }
+        grow();
+    }
+}
+
+void
+TraceStats::grow()
+{
+    std::vector<StaticBranchStats> old(slots.size() * 2);
+    old.swap(slots);
+    ++log2Slots;
+    const std::size_t mask = slots.size() - 1;
+    for (const StaticBranchStats &site : old) {
+        if (site.executions == 0)
+            continue;
+        std::size_t slot = homeSlot(site.pc);
+        while (slots[slot].executions != 0)
+            slot = (slot + 1) & mask;
+        slots[slot] = site;
+    }
 }
 
 void
@@ -49,7 +84,7 @@ TraceStats::observeAll(TraceReader &reader)
 std::uint64_t
 TraceStats::staticConditional() const
 {
-    return branches.size();
+    return sites;
 }
 
 double
@@ -67,9 +102,9 @@ TraceStats::stronglyBiasedDynamicFraction(double threshold) const
     if (dynamicCount == 0)
         return 0.0;
     std::uint64_t biased = 0;
-    for (const auto &[pc, stats] : branches) {
-        if (stats.isStronglyBiased(threshold))
-            biased += stats.executions;
+    for (const StaticBranchStats &site : slots) {
+        if (site.executions != 0 && site.isStronglyBiased(threshold))
+            biased += site.executions;
     }
     return static_cast<double>(biased) / static_cast<double>(dynamicCount);
 }
@@ -78,9 +113,11 @@ std::vector<StaticBranchStats>
 TraceStats::perBranch() const
 {
     std::vector<StaticBranchStats> result;
-    result.reserve(branches.size());
-    for (const auto &[pc, stats] : branches)
-        result.push_back(stats);
+    result.reserve(sites);
+    for (const StaticBranchStats &site : slots) {
+        if (site.executions != 0)
+            result.push_back(site);
+    }
     std::sort(result.begin(), result.end(),
               [](const StaticBranchStats &a, const StaticBranchStats &b) {
                   if (a.executions != b.executions)

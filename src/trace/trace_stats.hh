@@ -12,8 +12,8 @@
 #ifndef BPSIM_TRACE_TRACE_STATS_HH
 #define BPSIM_TRACE_TRACE_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/trace_source.hh"
@@ -70,8 +70,39 @@ class TraceStats
     /** Per-site summaries, sorted by descending execution count. */
     std::vector<StaticBranchStats> perBranch() const;
 
+    /** Multiplier of the site table's hash: a pc's home slot is the
+     *  top log2(size) bits of pc * kPcHashMultiplier. */
+    static constexpr std::uint64_t kPcHashMultiplier =
+        0x9e3779b97f4a7c15ULL;
+
   private:
-    std::unordered_map<std::uint64_t, StaticBranchStats> branches;
+    static constexpr unsigned kInitialLog2 = 10;
+
+    /** First slot probed for @p pc. */
+    std::size_t
+    homeSlot(std::uint64_t pc) const
+    {
+        return static_cast<std::size_t>((pc * kPcHashMultiplier) >>
+                                        (64 - log2Slots));
+    }
+
+    /** The entry for @p pc, claimed if new. */
+    StaticBranchStats &siteFor(std::uint64_t pc);
+
+    /** Doubles the table and reinserts every site. */
+    void grow();
+
+    /**
+     * Open-addressing table of the static sites: power-of-two size,
+     * linear probing, grown at 50% load. A slot with zero executions
+     * is empty, so pc 0 needs no sentinel. Every accessor either
+     * counts or sorts, so the slot order never reaches an output.
+     */
+    std::vector<StaticBranchStats> slots =
+        std::vector<StaticBranchStats>(std::size_t{1} << kInitialLog2);
+    unsigned log2Slots = kInitialLog2;
+    std::size_t sites = 0;
+
     std::uint64_t dynamicCount = 0;
     std::uint64_t takenCount = 0;
     std::uint64_t otherCount = 0;

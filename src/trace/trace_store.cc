@@ -21,11 +21,11 @@ namespace
 {
 
 constexpr char kPackedMagic[4] = {'P', 'B', 'T', '1'};
-/** Version 2 pads the taken bitmap to a kTraceArrayAlign file offset
- *  (see bitmapOffsetFor) so mmap'd views hand the replay kernels
- *  cache-line-aligned arrays; version-1 files are rejected and
- *  simply regenerated on the next store. */
-constexpr std::uint32_t kPackedVersion = 2;
+/** Version 3 checksums the payload word-wise (packedChecksum())
+ *  instead of byte-serial FNV-1a; version 2 added the aligned bitmap
+ *  offset (see bitmapOffsetFor). Older files are rejected and simply
+ *  regenerated on the next store. */
+constexpr std::uint32_t kPackedVersion = 3;
 constexpr std::size_t kPackedHeaderSize = 64;
 
 /* The pc array starts right after the header; its mmap'd alignment
@@ -53,25 +53,6 @@ fingerprintHex(std::uint64_t fingerprint)
     std::snprintf(text, sizeof(text), "%016llx",
                   static_cast<unsigned long long>(fingerprint));
     return text;
-}
-
-/** Checksums @p count words in their little-endian byte image. */
-void
-updateChecksumLe(Fnv1a &checksum, const std::uint64_t *words,
-                 std::size_t count)
-{
-    if (count == 0)
-        return;
-    if constexpr (kLittleEndian) {
-        checksum.update(reinterpret_cast<const std::uint8_t *>(words),
-                        count * 8);
-    } else {
-        for (std::size_t i = 0; i < count; ++i) {
-            std::uint8_t bytes[8];
-            putLe64(bytes, words[i]);
-            checksum.update(bytes, 8);
-        }
-    }
 }
 
 /** Writes @p count words to @p out as little-endian bytes. */
@@ -158,8 +139,6 @@ TraceStore::loadTrace(const std::string &name, std::uint64_t fingerprint,
         why = "no cached trace at '" + path + "'";
         return StoreStatus::Missing;
     }
-    out.clear();
-    out.reserve(static_cast<std::size_t>(expectedRecords));
     why = tryReadBinaryTrace(path, out);
     if (!why.empty()) {
         out.clear();
@@ -239,6 +218,15 @@ TraceStore::loadPacked(const std::string &name, std::uint64_t fingerprint,
               " does not match expected " + fingerprintHex(fingerprint);
         return StoreStatus::Invalid;
     }
+    // Bound the count by the file before any arithmetic on it: a
+    // hostile count near 2^64 would wrap the word and offset sums
+    // below back into range and send the checksum past the mapping.
+    if (count > (file->size() - kPackedHeaderSize) / 8) {
+        why = "'" + path + "' is " + std::to_string(file->size()) +
+              " bytes; " + std::to_string(count) +
+              " records need more";
+        return StoreStatus::Invalid;
+    }
     const std::uint64_t words =
         (count + PackedTrace::kWordBits - 1) / PackedTrace::kWordBits;
     const std::uint64_t bitmap_offset = bitmapOffsetFor(count);
@@ -252,48 +240,43 @@ TraceStore::loadPacked(const std::string &name, std::uint64_t fingerprint,
 
     const std::uint8_t *pc_bytes = base + kPackedHeaderSize;
     const std::uint8_t *bitmap_bytes = base + bitmap_offset;
-    Fnv1a checksum;
-    checksum.update(pc_bytes, static_cast<std::size_t>(8 * count));
-    checksum.update(bitmap_bytes, static_cast<std::size_t>(8 * words));
-    if (checksum.digest() != getLe64(base + 24)) {
+    // On a little-endian host the file's word image is the array; a
+    // big-endian host decodes into owned arrays first.
+    TraceWordVector owned_pcs, owned_bitmap;
+    const std::uint64_t *pcs =
+        reinterpret_cast<const std::uint64_t *>(pc_bytes);
+    const std::uint64_t *bitmap =
+        reinterpret_cast<const std::uint64_t *>(bitmap_bytes);
+    if constexpr (!kLittleEndian) {
+        owned_pcs.resize(static_cast<std::size_t>(count));
+        owned_bitmap.resize(static_cast<std::size_t>(words));
+        for (std::uint64_t i = 0; i < count; ++i)
+            owned_pcs[i] = getLe64(pc_bytes + 8 * i);
+        for (std::uint64_t w = 0; w < words; ++w)
+            owned_bitmap[w] = getLe64(bitmap_bytes + 8 * w);
+        pcs = owned_pcs.data();
+        bitmap = owned_bitmap.data();
+    }
+    if (packedChecksum(pcs, static_cast<std::size_t>(count), bitmap,
+                       static_cast<std::size_t>(words)) !=
+        getLe64(base + 24)) {
         why = "'" + path + "': checksum mismatch, file corrupt";
         return StoreStatus::Invalid;
     }
-
-    if constexpr (kLittleEndian) {
-        const auto *pcs =
-            reinterpret_cast<const std::uint64_t *>(pc_bytes);
-        const auto *bitmap =
-            reinterpret_cast<const std::uint64_t *>(bitmap_bytes);
-        // Padding bits past the last record must be zero or the
-        // popcount-based takenCount() would drift.
-        if (count % PackedTrace::kWordBits != 0 && words > 0) {
-            const std::uint64_t padding =
-                bitmap[words - 1] >>
-                (count % PackedTrace::kWordBits);
-            if (padding != 0) {
-                why = "'" + path + "': nonzero bitmap padding bits";
-                return StoreStatus::Invalid;
-            }
-        }
-        out = PackedTrace(pcs, bitmap,
-                          static_cast<std::size_t>(count), file);
-    } else {
-        TraceWordVector pcs(static_cast<std::size_t>(count));
-        TraceWordVector bitmap(static_cast<std::size_t>(words));
-        for (std::uint64_t i = 0; i < count; ++i)
-            pcs[i] = getLe64(pc_bytes + 8 * i);
-        for (std::uint64_t w = 0; w < words; ++w)
-            bitmap[w] = getLe64(bitmap_bytes + 8 * w);
-        if (count % PackedTrace::kWordBits != 0 && words > 0 &&
-            (bitmap[words - 1] >> (count % PackedTrace::kWordBits)) !=
-                0) {
-            why = "'" + path + "': nonzero bitmap padding bits";
-            return StoreStatus::Invalid;
-        }
-        out = PackedTrace(std::move(pcs), std::move(bitmap),
-                          static_cast<std::size_t>(count));
+    // Padding bits past the last record must be zero or the
+    // popcount-based takenCount() would drift.
+    if (count % PackedTrace::kWordBits != 0 &&
+        (bitmap[words - 1] >> (count % PackedTrace::kWordBits)) != 0) {
+        why = "'" + path + "': nonzero bitmap padding bits";
+        return StoreStatus::Invalid;
     }
+
+    if constexpr (kLittleEndian)
+        out = PackedTrace(pcs, bitmap, static_cast<std::size_t>(count),
+                          file);
+    else
+        out = PackedTrace(std::move(owned_pcs), std::move(owned_bitmap),
+                          static_cast<std::size_t>(count));
     return StoreStatus::Loaded;
 }
 
@@ -310,16 +293,14 @@ TraceStore::storePacked(const std::string &name,
         return false;
     }
 
-    Fnv1a checksum;
-    updateChecksumLe(checksum, trace.pcData(), trace.size());
-    updateChecksumLe(checksum, trace.wordData(), trace.wordCount());
-
     std::uint8_t header[kPackedHeaderSize] = {};
     std::memcpy(header, kPackedMagic, 4);
     putLe32(header + 4, kPackedVersion);
     putLe64(header + 8, trace.size());
     putLe64(header + 16, fingerprint);
-    putLe64(header + 24, checksum.digest());
+    putLe64(header + 24,
+            packedChecksum(trace.pcData(), trace.size(), trace.wordData(),
+                           trace.wordCount()));
     out.write(reinterpret_cast<const char *>(header), kPackedHeaderSize);
 
     // Zero gap up to the bitmap's aligned offset (not checksummed —

@@ -16,12 +16,13 @@
  * PBT1 layout (all integers little-endian):
  *
  *   bytes 0..3    magic "PBT1"
- *   bytes 4..7    format version, u32 (currently 1)
+ *   bytes 4..7    format version, u32 (currently 3)
  *   bytes 8..15   conditional record count, u64
  *   bytes 16..23  generator-spec fingerprint, u64
- *   bytes 24..31  FNV-1a checksum of the payload, u64
+ *   bytes 24..31  packedChecksum() of the two arrays, u64
  *   bytes 32..63  reserved (zero)
- *   payload       pc array (count x u64) then taken bitmap
+ *   payload       pc array (count x u64), zero gap up to the next
+ *                 64-byte file offset, then the taken bitmap
  *                 (ceil(count / 64) x u64, zero padding bits)
  *
  * The 64-byte header keeps the payload 8-byte aligned, so on a
@@ -30,9 +31,11 @@
  * big-endian hosts decode into owned arrays instead.
  *
  * Every load re-validates the fallback ladder — file present, header
- * magic/version, fingerprint, size consistency, checksum — and any
- * failure is reported as Missing/Invalid, never a termination: the
- * caller (sim/trace_cache.hh) regenerates and rewrites. The store is
+ * magic/version, fingerprint, size consistency (the count bounded by
+ * the file size before any arithmetic on it), checksum, bitmap
+ * padding — and any failure is reported as Missing/Invalid, never a
+ * termination: the caller (sim/trace_cache.hh) regenerates and
+ * rewrites. The store is
  * deliberately spec-agnostic: callers pass an opaque fingerprint
  * (TraceCache hashes the serialized WorkloadSpec plus a generator
  * version salt), which keeps this layer free of workload dependencies.

@@ -4,8 +4,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "sim/trace_cache.hh"
+#include "trace/codec.hh"
 #include "trace/trace_store.hh"
 
 namespace bpsim
@@ -201,6 +204,70 @@ TEST(TraceCache, CorruptedStoreFilesRegenerateAndRewrite)
     EXPECT_EQ(healed.stats().invalidFiles, 0u);
     EXPECT_EQ(healed.stats().traceLoads, 1u);
     EXPECT_EQ(healed.stats().packedLoads, 1u);
+}
+
+/** Rewrites the PBT1 file at @p path as the version-2 format wrote
+ *  it: same layout, byte-serial FNV-1a over the two arrays. */
+void
+downgradeToPbt1V2(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        ASSERT_TRUE(in) << path;
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_GE(bytes.size(), 64u);
+    const std::uint64_t count = getLe64(bytes.data() + 8);
+    const std::size_t bitmap_offset = (64 + 8 * count + 63) / 64 * 64;
+    Fnv1a checksum;
+    checksum.update(bytes.data() + 64, 8 * count);
+    checksum.update(bytes.data() + bitmap_offset,
+                    bytes.size() - bitmap_offset);
+    putLe32(bytes.data() + 4, 2);
+    putLe64(bytes.data() + 24, checksum.digest());
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(TraceCache, PackedV2FileIsRejectedOnceAndRewrittenAsV3)
+{
+    TempStoreDir dir("cache_pbt_v2");
+    const WorkloadSpec spec = tinySpec("a", 5000);
+    {
+        TraceCache cold(dir.path());
+        cold.packedFor(spec);
+    }
+    const std::string path = TraceStore(dir.path()).pathFor(
+        spec.name, workloadTraceFingerprint(spec), ".pbt1");
+    downgradeToPbt1V2(path);
+
+    ::testing::internal::CaptureStderr();
+    {
+        TraceCache upgrading(dir.path());
+        upgrading.packedFor(spec);
+        EXPECT_EQ(upgrading.stats().invalidFiles, 1u);
+        EXPECT_EQ(upgrading.stats().packedBuilt, 1u);
+        EXPECT_EQ(upgrading.stats().generated, 0u);
+    }
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("unsupported PBT1 version 2"), std::string::npos)
+        << log;
+
+    std::uint8_t header[8] = {};
+    {
+        std::ifstream in(path, std::ios::binary);
+        in.read(reinterpret_cast<char *>(header), sizeof(header));
+    }
+    EXPECT_EQ(getLe32(header + 4), 3u);
+
+    TraceCache warm(dir.path());
+    warm.packedFor(spec);
+    EXPECT_EQ(warm.stats().invalidFiles, 0u);
+    EXPECT_EQ(warm.stats().packedLoads, 1u);
+    EXPECT_EQ(warm.stats().packedBuilt, 0u);
 }
 
 TEST(TraceCache, WritesSpecSidecarForDebugging)

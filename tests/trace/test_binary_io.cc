@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "trace/binary_io.hh"
 #include "trace/memory_trace.hh"
@@ -283,6 +284,150 @@ TEST(TryReadBinaryTrace, UndercountReportsTrailingGarbage)
     EXPECT_NE(tryReadBinaryTrace(file.path(), sink)
                   .find("trailing byte"),
               std::string::npos);
+}
+
+/** Overwrites the byte at @p offset of @p path with @p value. */
+void
+setByteAt(const std::string &path, std::streamoff offset,
+          std::uint8_t value)
+{
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f) << path;
+    f.seekp(offset);
+    const char byte = static_cast<char>(value);
+    f.write(&byte, 1);
+}
+
+std::streamoff
+fileSize(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    return in.tellg();
+}
+
+/** Writes a BBT1 file by hand around @p payload, with a valid
+ *  checksum and the declared record count @p count. */
+void
+writeRawBbt1(const std::string &path, std::uint64_t count,
+             const std::vector<std::uint8_t> &payload)
+{
+    std::uint8_t header[24] = {'B', 'B', 'T', '1'};
+    putLe32(header + 4, 1);
+    putLe64(header + 8, count);
+    Fnv1a checksum;
+    checksum.update(payload.data(), payload.size());
+    std::uint8_t trailer[8];
+    putLe64(trailer, checksum.digest());
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char *>(header), sizeof(header));
+    out.write(reinterpret_cast<const char *>(payload.data()),
+              static_cast<std::streamsize>(payload.size()));
+    out.write(reinterpret_cast<const char *>(trailer), sizeof(trailer));
+}
+
+TEST(TryReadBinaryTrace, CorruptionThatBreaksDecodingIsAChecksumMismatch)
+{
+    TempFile file("bbt_try_corrupt_decode.trace");
+    const MemoryTrace original = randomTrace(100, 12);
+    auto reader = original.reader();
+    writeBinaryTrace(reader, file.path());
+
+    // Type bits 7 in the first record's flags byte: a bad type.
+    setByteAt(file.path(), 24, 0x0e);
+    MemoryTrace sink;
+    EXPECT_NE(tryReadBinaryTrace(file.path(), sink)
+                  .find("checksum mismatch"),
+              std::string::npos);
+
+    // A continuation bit on the last payload byte: a truncated varint.
+    reader.rewind();
+    writeBinaryTrace(reader, file.path());
+    const std::streamoff last = fileSize(file.path()) - 9;
+    setByteAt(file.path(), last, 0x81);
+    EXPECT_NE(tryReadBinaryTrace(file.path(), sink)
+                  .find("checksum mismatch"),
+              std::string::npos);
+    EXPECT_TRUE(sink.empty());
+}
+
+TEST(TryReadBinaryTrace, DecodeErrorsUnderAValidChecksumAreNamed)
+{
+    TempFile file("bbt_try_decode.trace");
+    // Record 0 decodes; record 1 has type bits 7.
+    writeRawBbt1(file.path(), 2, {0x01, 0x08, 0x04, 0x0e, 0x00, 0x00});
+    MemoryTrace sink;
+    EXPECT_NE(tryReadBinaryTrace(file.path(), sink)
+                  .find("record 1 has invalid type 7"),
+              std::string::npos);
+
+    // Record 1 stops mid-varint.
+    writeRawBbt1(file.path(), 2, {0x01, 0x08, 0x04, 0x00, 0x80});
+    EXPECT_NE(tryReadBinaryTrace(file.path(), sink)
+                  .find("ended early at record 1"),
+              std::string::npos);
+    EXPECT_TRUE(sink.empty());
+}
+
+TEST(TryReadBinaryTrace, HugeHeaderCountAllocatesNothingFromIt)
+{
+    // The count field is outside the checksum. A count far beyond
+    // what the payload can hold must fail as a short payload, not as
+    // an allocation sized from the count.
+    TempFile file("bbt_try_hugecount.trace");
+    const MemoryTrace original = randomTrace(100, 13);
+    auto reader = original.reader();
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 40, std::uint64_t{1} << 62,
+          ~std::uint64_t{0}}) {
+        reader.rewind();
+        writeBinaryTrace(reader, file.path());
+        {
+            std::fstream f(file.path(), std::ios::binary | std::ios::in |
+                                            std::ios::out);
+            std::uint8_t bytes[8];
+            putLe64(bytes, count);
+            f.seekp(8);
+            f.write(reinterpret_cast<const char *>(bytes), 8);
+        }
+        MemoryTrace sink;
+        EXPECT_NE(tryReadBinaryTrace(file.path(), sink)
+                      .find("ended early at record 100"),
+                  std::string::npos)
+            << count;
+    }
+}
+
+TEST(TryReadBinaryTrace, MatchesStreamingReaderRecordForRecord)
+{
+    TempFile file("bbt_try_vs_reader.trace");
+    MemoryTrace original = randomTrace(20'000, 14);
+    // Extreme deltas take the 10-byte varint path both ways.
+    BranchRecord far;
+    far.pc = ~std::uint64_t{0} - 3;
+    far.target = 0;
+    far.type = BranchType::IndirectJump;
+    far.taken = true;
+    original.append(far);
+    far.pc = 0;
+    far.target = ~std::uint64_t{0};
+    far.type = BranchType::Conditional;
+    far.taken = false;
+    original.append(far);
+    auto reader = original.reader();
+    writeBinaryTrace(reader, file.path());
+
+    MemoryTrace loaded;
+    ASSERT_EQ(tryReadBinaryTrace(file.path(), loaded), "");
+    BinaryTraceReader streaming(file.path());
+    BranchRecord record;
+    std::size_t i = 0;
+    while (streaming.next(record)) {
+        ASSERT_LT(i, loaded.size());
+        ASSERT_EQ(loaded[i], record) << "record " << i;
+        ++i;
+    }
+    EXPECT_EQ(i, loaded.size());
+    EXPECT_EQ(loaded.size(), original.size());
 }
 
 } // namespace

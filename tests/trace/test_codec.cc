@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "trace/codec.hh"
 #include "util/random.hh"
 
@@ -137,6 +140,110 @@ TEST(Fnv1a, SensitiveToEveryByte)
     ha.update(a, 4);
     hb.update(b, 4);
     EXPECT_NE(ha.digest(), hb.digest());
+}
+
+/** A small PBT1-shaped payload: three pc words, then two bitmap
+ *  words, so the stream wraps the four lanes and crosses the array
+ *  boundary off a lane edge. */
+struct SmallPayload
+{
+    static constexpr std::size_t kPcs = 3;
+    static constexpr std::size_t kWords = 2;
+    std::uint64_t words[kPcs + kWords] = {
+        0x0000000000401000ULL, 0x0000000000401010ULL,
+        0x00000000004a2f3cULL, 0x5a5a0f0f33cc9669ULL,
+        0x0000000000000003ULL};
+
+    std::uint64_t
+    digest() const
+    {
+        return packedChecksum(words, kPcs, words + kPcs, kWords);
+    }
+};
+
+TEST(PackedChecksum, EverySingleBitFlipChangesTheDigest)
+{
+    SmallPayload payload;
+    const std::uint64_t base = payload.digest();
+    std::set<std::uint64_t> seen = {base};
+    for (std::uint64_t &word : payload.words) {
+        for (unsigned bit = 0; bit < 64; ++bit) {
+            word ^= std::uint64_t{1} << bit;
+            seen.insert(payload.digest());
+            word ^= std::uint64_t{1} << bit;
+        }
+    }
+    // 5 words x 64 bits, all distinct from each other and the base.
+    EXPECT_EQ(seen.size(), 1u + 5 * 64);
+}
+
+TEST(PackedChecksum, SameBitInTwoWordsChangesTheDigest)
+{
+    // An unrotated xor-multiply round keeps a bit-63 difference in
+    // bit 63 (odd multipliers map 2^63 to 2^63), so two such flips
+    // cancel; the rotate must carry it into the multiplier's reach.
+    SmallPayload payload;
+    const std::uint64_t base = payload.digest();
+    constexpr std::size_t n = SmallPayload::kPcs + SmallPayload::kWords;
+    for (unsigned bit = 0; bit < 64; ++bit) {
+        const std::uint64_t mask = std::uint64_t{1} << bit;
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = i + 1; j < n; ++j) {
+                payload.words[i] ^= mask;
+                payload.words[j] ^= mask;
+                EXPECT_NE(payload.digest(), base)
+                    << "bit " << bit << ", words " << i << " and " << j;
+                payload.words[i] ^= mask;
+                payload.words[j] ^= mask;
+            }
+        }
+    }
+}
+
+TEST(PackedChecksum, SwappingTwoWordsChangesTheDigest)
+{
+    SmallPayload payload;
+    const std::uint64_t base = payload.digest();
+    constexpr std::size_t n = SmallPayload::kPcs + SmallPayload::kWords;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+            std::swap(payload.words[i], payload.words[j]);
+            EXPECT_NE(payload.digest(), base)
+                << "words " << i << " and " << j;
+            std::swap(payload.words[i], payload.words[j]);
+        }
+    }
+}
+
+TEST(PackedChecksum, MovingTheArrayBoundaryChangesTheDigest)
+{
+    // The same five words, split into pc array and bitmap at every
+    // point: the stream is identical, only the boundary moves.
+    const SmallPayload payload;
+    std::set<std::uint64_t> seen;
+    for (std::size_t pcs = 0; pcs <= 5; ++pcs)
+        seen.insert(packedChecksum(payload.words, pcs,
+                                   payload.words + pcs, 5 - pcs));
+    EXPECT_EQ(seen.size(), 6u);
+}
+
+TEST(PackedChecksum, AppendingAZeroWordChangesTheDigest)
+{
+    const std::uint64_t zeros[2] = {0, 0};
+    EXPECT_NE(packedChecksum(zeros, 1, nullptr, 0),
+              packedChecksum(zeros, 2, nullptr, 0));
+    EXPECT_NE(packedChecksum(nullptr, 0, nullptr, 0),
+              packedChecksum(zeros, 1, nullptr, 0));
+}
+
+TEST(PackedChecksum, KnownVector)
+{
+    // Pins the PBT1 v3 definition: a changed digest here means every
+    // stored .pbt1 file would be rejected, which needs a version bump.
+    const SmallPayload payload;
+    EXPECT_EQ(payload.digest(), 0x3b6dab6341abeac3ULL);
+    EXPECT_EQ(packedChecksum(nullptr, 0, nullptr, 0),
+              0xc471bd68f678f483ULL);
 }
 
 } // namespace

@@ -353,25 +353,24 @@ TEST(TraceStore, NonzeroPaddingBitsAreInvalid)
     TraceStore store(dir.path());
     const std::string path = store.pathFor("gcc", kFp, ".pbt1");
 
+    const std::uint64_t pc = 0x4000;
+    const std::uint64_t bitmap = 0b110; // bit 0 clear, padding 1..2 set
     std::uint8_t pc_bytes[8];
     std::uint8_t bitmap_bytes[8];
-    putLe64(pc_bytes, 0x4000);
-    putLe64(bitmap_bytes, 0b110); // bit 0 clear, padding bits 1..2 set
-    Fnv1a checksum;
-    checksum.update(pc_bytes, sizeof(pc_bytes));
-    checksum.update(bitmap_bytes, sizeof(bitmap_bytes));
+    putLe64(pc_bytes, pc);
+    putLe64(bitmap_bytes, bitmap);
 
     std::uint8_t header[64] = {};
     header[0] = 'P';
     header[1] = 'B';
     header[2] = 'T';
     header[3] = '1';
-    putLe32(header + 4, 2);
+    putLe32(header + 4, 3);
     putLe64(header + 8, 1);
     putLe64(header + 16, kFp);
-    putLe64(header + 24, checksum.digest());
+    putLe64(header + 24, packedChecksum(&pc, 1, &bitmap, 1));
 
-    // Layout per PBT1 v2: one pc word after the header, then a zero
+    // Layout per PBT1 v3: one pc word after the header, then a zero
     // gap up to the bitmap's 64-byte-aligned offset (128).
     const char gap[64 - sizeof(pc_bytes)] = {};
     std::ofstream out(path, std::ios::binary);
@@ -388,6 +387,31 @@ TEST(TraceStore, NonzeroPaddingBitsAreInvalid)
     EXPECT_EQ(store.loadPacked("gcc", kFp, loaded, why),
               StoreStatus::Invalid);
     EXPECT_NE(why.find("padding"), std::string::npos) << why;
+}
+
+TEST(TraceStore, HostilePackedCountIsInvalidNotACrash)
+{
+    // A bare 64-byte header whose count is 2^64 - 1: unbounded, both
+    // (count + 63) / 64 and the bitmap offset wrap so the expected
+    // size comes out as 64 and the checksum would read far past the
+    // mapping. The count must be bounded by the file size first.
+    TempStoreDir dir("store_pbt_hostile");
+    TraceStore store(dir.path());
+    std::uint8_t header[64] = {'P', 'B', 'T', '1'};
+    putLe32(header + 4, 3);
+    putLe64(header + 8, ~std::uint64_t{0});
+    putLe64(header + 16, kFp);
+    {
+        std::ofstream out(store.pathFor("gcc", kFp, ".pbt1"),
+                          std::ios::binary);
+        out.write(reinterpret_cast<const char *>(header), sizeof(header));
+    }
+
+    PackedTrace loaded;
+    std::string why;
+    EXPECT_EQ(store.loadPacked("gcc", kFp, loaded, why),
+              StoreStatus::Invalid);
+    EXPECT_NE(why.find("records need"), std::string::npos) << why;
 }
 
 TEST(TraceStore, StemSanitizesHostileNames)
