@@ -63,7 +63,7 @@ main(int argc, char **argv)
     configs.reserve(variants.size());
     for (const Variant &variant : variants)
         configs.push_back(variant.config);
-    campaign.addGrid(configs, resolveTraces(cache, suite));
+    campaign.addGrid(configs, resolveTraces(cache, suite, 0));
     const auto results = campaign.run(0, verboseProgress());
     maybeEmitJson(args, results, "bi-mode ablations");
 

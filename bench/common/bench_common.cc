@@ -94,23 +94,13 @@ emitTable(const ArgParser &args, const TextTable &table,
     std::cout.flush();
 }
 
-std::vector<const MemoryTrace *>
-suiteTraces(TraceCache &cache, const std::vector<WorkloadSpec> &specs)
-{
-    std::vector<const MemoryTrace *> traces;
-    traces.reserve(specs.size());
-    for (const auto &spec : specs)
-        traces.push_back(&cache.traceFor(spec));
-    return traces;
-}
-
 std::vector<SchemeCurvePoint>
 measureSchemeCurves(TraceCache &cache,
                     const std::vector<WorkloadSpec> &specs,
                     const std::vector<SizePoint> &ladder)
 {
     const std::vector<BenchmarkTrace> benchmarks =
-        resolveTraces(cache, specs);
+        resolveTraces(cache, specs, 0);
 
     std::vector<SchemeCurvePoint> curve;
     curve.reserve(ladder.size());

@@ -68,10 +68,6 @@ std::vector<WorkloadSpec> scaledSuite(std::vector<WorkloadSpec> specs,
 void emitTable(const ArgParser &args, const TextTable &table,
                const std::string &title);
 
-/** Readers over a suite's traces, generating through @p cache. */
-std::vector<const MemoryTrace *>
-suiteTraces(TraceCache &cache, const std::vector<WorkloadSpec> &specs);
-
 /**
  * Per-size-rung results of the paper's three headline schemes
  * (gshare.1PHT, gshare.best, bi-mode) over one benchmark suite.

@@ -49,7 +49,7 @@ main(int argc, char **argv)
 
     TraceCache cache(traceStoreDir(args));
     const auto specs = scaledSuite(allBenchmarks(), divisor);
-    const auto benchmarks = resolveTraces(cache, specs);
+    const auto benchmarks = resolveTraces(cache, specs, 0);
 
     // Configurations sized to land at (or just under) each budget.
     const std::vector<BudgetClass> budgets = {

@@ -1,7 +1,11 @@
 #include "campaign/campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
+#include <mutex>
+#include <numeric>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -155,18 +159,69 @@ Campaign::run(unsigned workers, const ProgressFn &progress) const
 }
 
 std::vector<BenchmarkTrace>
-resolveTraces(TraceCache &cache, const std::vector<WorkloadSpec> &specs)
+resolveTraces(TraceCache &cache, const std::vector<WorkloadSpec> &specs,
+              unsigned workers)
 {
-    std::vector<BenchmarkTrace> benchmarks;
-    benchmarks.reserve(specs.size());
-    for (const WorkloadSpec &spec : specs) {
-        // Pack once per benchmark (serially, like trace generation);
-        // every job on the benchmark then shares both forms through
-        // owning handles, so the jobs stay valid even if they outlive
-        // this cache.
-        benchmarks.push_back({spec.name, cache.handleFor(spec),
-                              cache.packedHandleFor(spec)});
+    std::vector<BenchmarkTrace> benchmarks(specs.size());
+    const auto resolve = [&](std::size_t i) {
+        // Pack once per benchmark; every job on the benchmark then
+        // shares both forms through owning handles.
+        benchmarks[i] = {specs[i].name, cache.handleFor(specs[i]),
+                         cache.packedHandleFor(specs[i])};
+    };
+
+    if (workers == 0)
+        workers = defaultWorkerCount();
+    std::size_t missing = 0;
+    if (workers > 1) {
+        for (const WorkloadSpec &spec : specs)
+            missing += cache.resident(spec) ? 0 : 1;
     }
+    const std::size_t threads = std::min<std::size_t>(workers, missing);
+    if (threads <= 1) {
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            resolve(i);
+        return benchmarks;
+    }
+
+    // Largest first, so the longest generation starts at once and the
+    // small ones fill in around it.
+    std::vector<std::size_t> order(specs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return specs[a].dynamicBranches >
+                                specs[b].dynamicBranches;
+                     });
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    std::mutex errorMu;
+    std::exception_ptr error;
+    const auto work = [&] {
+        try {
+            for (std::size_t k = next++; k < order.size() && !failed;
+                 k = next++)
+                resolve(order[k]);
+        } catch (...) {
+            failed = true;
+            const std::lock_guard<std::mutex> lock(errorMu);
+            if (!error)
+                error = std::current_exception();
+        }
+    };
+    std::vector<std::thread> helpers;
+    helpers.reserve(threads - 1);
+    try {
+        for (std::size_t t = 1; t < threads; ++t)
+            helpers.emplace_back(work);
+    } catch (const std::system_error &) {
+        // The threads that did start share the rest of the work.
+    }
+    work();
+    for (std::thread &helper : helpers)
+        helper.join();
+    if (error)
+        std::rethrow_exception(error);
     return benchmarks;
 }
 

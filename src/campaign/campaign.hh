@@ -199,12 +199,26 @@ class Campaign
 JobResult runJob(const Job &job);
 
 /**
- * Generates (serially, through @p cache) the traces of @p specs and
- * pairs each with its benchmark name. Campaigns share the resulting
- * traces across all jobs; the cache must outlive the run.
+ * Materializes (through @p cache) the traces of @p specs and pairs
+ * each with its benchmark name, in spec order. Campaigns share the
+ * resulting traces across all jobs; the handles own them, so jobs
+ * stay valid even if they outlive the cache.
+ *
+ * @param workers thread budget for the traces the cache is missing:
+ *                the calling thread plus up to workers - 1 helpers
+ *                take them largest dynamic count first; 0 uses
+ *                defaultWorkerCount(). When at most one trace is
+ *                missing, no thread is spawned. The default of 1 is
+ *                deliberate: with more threads, glibc's per-thread
+ *                arenas keep a previous trace set's freed buffers
+ *                resident beside the new one, so a caller that
+ *                rebuilds whole trace sets in a loop pays peak RSS
+ *                for the speed (DESIGN.md §9). A helper's exception
+ *                is rethrown here once every helper has joined.
  */
 std::vector<BenchmarkTrace>
-resolveTraces(TraceCache &cache, const std::vector<WorkloadSpec> &specs);
+resolveTraces(TraceCache &cache, const std::vector<WorkloadSpec> &specs,
+              unsigned workers = 1);
 
 } // namespace bpsim
 

@@ -129,8 +129,8 @@ runOffline(const bpsim::serve::CampaignRequest &request,
     SimConfig simConfig;
     simConfig.warmupBranches = request.warmup;
     simConfig.trackPerBranch = request.perBranch;
-    campaign.addGrid(request.configs, resolveTraces(cache, specs),
-                     simConfig);
+    campaign.addGrid(request.configs,
+                     resolveTraces(cache, specs, workers), simConfig);
     const std::vector<JobResult> results = campaign.run(workers);
     if (h2p.enabled) {
         // Round-trip through the serialized form so --offline --h2p

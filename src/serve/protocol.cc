@@ -135,7 +135,8 @@ pongEvent()
 }
 
 std::string
-statsEvent(const CampaignScheduler::Stats &stats)
+statsEvent(const CampaignScheduler::Stats &stats,
+           const TraceCache::Stats &traces)
 {
     std::ostringstream os;
     os << "{\"event\":\"stats\",\"submitted\":" << stats.submitted
@@ -144,7 +145,13 @@ statsEvent(const CampaignScheduler::Stats &stats)
        << ",\"callbackExceptions\":" << stats.callbackExceptions
        << ",\"fusedBanks\":" << stats.fusedBanks
        << ",\"pending\":" << stats.pending
-       << ",\"inFlight\":" << stats.inFlight << "}\n";
+       << ",\"inFlight\":" << stats.inFlight
+       << ",\"generated\":" << traces.generated
+       << ",\"traceLoads\":" << traces.traceLoads
+       << ",\"packedLoads\":" << traces.packedLoads
+       << ",\"packedBuilt\":" << traces.packedBuilt
+       << ",\"invalidFiles\":" << traces.invalidFiles
+       << ",\"residentTraceBytes\":" << traces.residentBytes << "}\n";
     return os.str();
 }
 

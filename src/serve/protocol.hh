@@ -19,7 +19,7 @@
  *       each payload — the raw material for client-side H2P reports
  *       (analysis/h2p.hh).
  *   {"op":"ping"}    liveness probe
- *   {"op":"stats"}   scheduler counters snapshot
+ *   {"op":"stats"}   scheduler and trace-cache counters snapshot
  *
  * Events (daemon -> client), one JSON object per line:
  *
@@ -38,7 +38,12 @@
  *       order; "payload" is always the final key of the line.
  *   {"event":"done","id":...,"jobs":N}   after the N-th result
  *   {"event":"error","error":"..."}      malformed line (no id known)
- *   {"event":"pong"} / {"event":"stats",...}
+ *   {"event":"pong"}
+ *   {"event":"stats","submitted":N,...,"inFlight":N,"generated":N,
+ *    "traceLoads":N,"packedLoads":N,"packedBuilt":N,"invalidFiles":N,
+ *    "residentTraceBytes":N}
+ *       Scheduler counters (CampaignScheduler::Stats), then the
+ *       shared trace cache's (TraceCache::Stats).
  *
  * Parsing failures never terminate the daemon; the reply is a
  * rejected/error event and the connection stays usable.
@@ -53,6 +58,7 @@
 #include <vector>
 
 #include "campaign/scheduler.hh"
+#include "sim/trace_cache.hh"
 
 namespace bpsim::serve
 {
@@ -109,7 +115,8 @@ std::string resultEvent(const std::string &id, std::size_t index,
                         const std::string &payload);
 std::string doneEvent(const std::string &id, std::size_t jobs);
 std::string pongEvent();
-std::string statsEvent(const CampaignScheduler::Stats &stats);
+std::string statsEvent(const CampaignScheduler::Stats &stats,
+                       const TraceCache::Stats &traces);
 /** @} */
 
 /** One event line, parsed (client side). */

@@ -162,7 +162,7 @@ CampaignServer::handleLine(const std::shared_ptr<Session> &session,
         session->write(pongEvent());
         return;
       case Request::Op::Stats:
-        session->write(statsEvent(scheduler.stats()));
+        session->write(statsEvent(scheduler.stats(), traceCache.stats()));
         return;
       case Request::Op::Campaign:
         handleCampaign(session, std::move(request.campaign));
@@ -203,27 +203,34 @@ CampaignServer::handleCampaign(const std::shared_ptr<Session> &session,
     // Resolve names and materialize traces before taking the write
     // lock: first-touch trace generation is the slow part and must
     // not stall this session's in-flight result stream. The cache is
-    // shared across every session, so concurrent clients sweeping
-    // the same benchmark generate its trace exactly once.
-    std::vector<BenchmarkTrace> benchmarks;
-    benchmarks.reserve(request.benchmarks.size());
+    // shared across every session and single-flight per key, so
+    // concurrent clients sweeping the same benchmark generate its
+    // trace exactly once, and a client whose traces are resident
+    // never waits behind another client's cold one.
+    std::vector<WorkloadSpec> specs;
+    specs.reserve(request.benchmarks.size());
     for (const std::string &name : request.benchmarks) {
         auto spec = opts.resolveBenchmark(name);
         if (!spec) {
             reject("unknown benchmark '" + name + "'");
             return;
         }
+        const std::uint64_t fullCount = spec->dynamicBranches;
         *spec = scaledBenchmark(std::move(*spec), request.divisor);
         // The cache is keyed by name and rejects one name with two
-        // dynamic counts, so each divisor gets its own cache entry;
-        // generation depends only on the spec's parameters, never
-        // its name, and jobs still report the plain name.
-        if (request.divisor > 1)
-            spec->name += "@div" + std::to_string(request.divisor);
-        std::lock_guard<std::mutex> lock(traceMu);
-        benchmarks.push_back({name, traceCache.handleFor(*spec),
-                              traceCache.packedHandleFor(*spec)});
+        // dynamic counts, so each scaled record count gets its own
+        // entry: divisors that scale to one count share it, which
+        // bounds a benchmark's entries by the scaling floor.
+        // Generation depends only on the spec's parameters, never its
+        // name, and jobs still report the plain name.
+        if (spec->dynamicBranches != fullCount)
+            spec->name += "@" + std::to_string(spec->dynamicBranches);
+        specs.push_back(std::move(*spec));
     }
+    std::vector<BenchmarkTrace> benchmarks =
+        resolveTraces(traceCache, specs, scheduler.workerCount());
+    for (std::size_t i = 0; i < benchmarks.size(); ++i)
+        benchmarks[i].name = request.benchmarks[i];
 
     // Config-major grid, exactly Campaign::addGrid()'s order — the
     // contract that makes streamed output line up with the offline

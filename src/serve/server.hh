@@ -153,10 +153,10 @@ class CampaignServer
 
     Options opts;
     CampaignScheduler scheduler;
+    /** Shared by every session; thread-safe and single-flight per
+     *  key, so sessions resolve through it without a lock of their
+     *  own. */
     TraceCache traceCache;
-    /** Serializes TraceCache access (the cache itself is not
-     *  thread-safe; generation is serial, like resolveTraces()). */
-    std::mutex traceMu;
 
     mutable std::mutex mu;
     Stats counters;

@@ -44,65 +44,84 @@ TraceCache::TraceCache(const std::string &storeDirectory)
         store = std::make_unique<TraceStore>(storeDirectory);
 }
 
-std::uint64_t
-TraceCache::fingerprintFor(const WorkloadSpec &spec)
+TraceCache::Slot &
+TraceCache::slotFor(const WorkloadSpec &spec)
 {
-    const auto it = fingerprints.find(spec.name);
-    if (it != fingerprints.end())
-        return it->second;
-    const std::uint64_t fingerprint = workloadTraceFingerprint(spec);
-    fingerprints.emplace(spec.name, fingerprint);
-    return fingerprint;
+    const std::lock_guard<std::mutex> lock(mu);
+    const auto [it, created] = slots.try_emplace(spec.name);
+    Slot &slot = it->second;
+    if (created) {
+        slot.dynamicBranches = spec.dynamicBranches;
+        if (store != nullptr)
+            slot.fingerprint = workloadTraceFingerprint(spec);
+    } else if (slot.dynamicBranches != spec.dynamicBranches) {
+        BPSIM_PANIC("TraceCache: benchmark '" << spec.name
+                    << "' requested with two different dynamic "
+                    << "counts");
+    }
+    return slot;
 }
 
 void
-TraceCache::rememberSpec(const WorkloadSpec &spec)
+TraceCache::publish(Slot &slot, std::shared_ptr<const MemoryTrace> trace,
+                    std::size_t &counter)
+{
+    const std::lock_guard<std::mutex> lock(mu);
+    counters.residentBytes += trace->size() * sizeof(BranchRecord);
+    slot.trace = std::move(trace);
+    ++counter;
+}
+
+void
+TraceCache::publish(Slot &slot, std::shared_ptr<const PackedTrace> packed,
+                    std::size_t &counter)
+{
+    const std::lock_guard<std::mutex> lock(mu);
+    counters.residentBytes +=
+        (packed->size() + packed->wordCount()) * sizeof(std::uint64_t);
+    slot.packed = std::move(packed);
+    ++counter;
+}
+
+void
+TraceCache::count(std::size_t &counter)
+{
+    const std::lock_guard<std::mutex> lock(mu);
+    ++counter;
+}
+
+void
+TraceCache::rememberSpec(const WorkloadSpec &spec, const Slot &slot)
 {
     // Human-readable provenance sidecar: exactly the text the
     // fingerprint hashed, so a stale cache can be diagnosed by eye.
     // Failures are harmless (the sidecar is never read back).
     const std::string path =
-        store->pathFor(spec.name, fingerprintFor(spec), ".spec");
+        store->pathFor(spec.name, slot.fingerprint, ".spec");
     std::ofstream out(path, std::ios::trunc);
     if (out)
         writeWorkloadSpec(out, spec);
 }
 
-const MemoryTrace &
-TraceCache::traceFor(const WorkloadSpec &spec)
+void
+TraceCache::materializeTrace(const WorkloadSpec &spec, Slot &slot)
 {
-    auto it = traces.find(spec.name);
-    if (it != traces.end()) {
-        const auto count = dynamicCounts.find(spec.name);
-        if (count == dynamicCounts.end() ||
-            count->second != spec.dynamicBranches) {
-            BPSIM_PANIC("TraceCache: benchmark '" << spec.name
-                        << "' requested with two different dynamic "
-                        << "counts");
-        }
-        return *it->second;
-    }
-
     if (store != nullptr) {
         MemoryTrace loaded;
         std::string why;
         const StoreStatus status =
-            store->loadTrace(spec.name, fingerprintFor(spec),
+            store->loadTrace(spec.name, slot.fingerprint,
                              spec.dynamicBranches, loaded, why);
         if (status == StoreStatus::Loaded) {
             BPSIM_INFORM("loaded cached trace for " << spec.name << " ("
                          << loaded.size() << " branches)");
-            ++counters.traceLoads;
-            it = traces
-                     .emplace(spec.name,
-                              std::make_shared<const MemoryTrace>(
-                                  std::move(loaded)))
-                     .first;
-            dynamicCounts[spec.name] = spec.dynamicBranches;
-            return *it->second;
+            publish(slot,
+                    std::make_shared<const MemoryTrace>(std::move(loaded)),
+                    counters.traceLoads);
+            return;
         }
         if (status == StoreStatus::Invalid) {
-            ++counters.invalidFiles;
+            count(counters.invalidFiles);
             BPSIM_WARN("cached trace for " << spec.name
                        << " rejected (" << why << "); regenerating");
         }
@@ -110,36 +129,27 @@ TraceCache::traceFor(const WorkloadSpec &spec)
 
     BPSIM_INFORM("generating trace for " << spec.name << " ("
                  << spec.dynamicBranches << " branches)");
-    ++counters.generated;
-    it = traces
-             .emplace(spec.name, std::make_shared<const MemoryTrace>(
-                                     generateWorkloadTrace(spec)))
-             .first;
-    dynamicCounts[spec.name] = spec.dynamicBranches;
+    auto trace =
+        std::make_shared<const MemoryTrace>(generateWorkloadTrace(spec));
+    publish(slot, trace, counters.generated);
 
     if (store != nullptr) {
         std::string why;
-        if (!store->storeTrace(spec.name, fingerprintFor(spec),
-                               *it->second, why))
+        if (!store->storeTrace(spec.name, slot.fingerprint, *trace, why))
             BPSIM_WARN("cannot persist trace for " << spec.name << ": "
                        << why);
-        rememberSpec(spec);
+        rememberSpec(spec, slot);
     }
-    return *it->second;
 }
 
-const PackedTrace &
-TraceCache::packedFor(const WorkloadSpec &spec)
+void
+TraceCache::materializePacked(const WorkloadSpec &spec, Slot &slot)
 {
-    auto it = packed.find(spec.name);
-    if (it != packed.end())
-        return *it->second;
-
     if (store != nullptr) {
         PackedTrace loaded;
         std::string why;
-        const StoreStatus status = store->loadPacked(
-            spec.name, fingerprintFor(spec), loaded, why);
+        const StoreStatus status =
+            store->loadPacked(spec.name, slot.fingerprint, loaded, why);
         if (status == StoreStatus::Loaded) {
             // Without call/return records every generated record is
             // conditional, so the packed count is pinned by the spec;
@@ -153,54 +163,75 @@ TraceCache::packedFor(const WorkloadSpec &spec)
                              << " conditionals, "
                              << (loaded.isView() ? "zero-copy" : "owned")
                              << ")");
-                ++counters.packedLoads;
-                it = packed
-                         .emplace(spec.name,
-                                  std::make_shared<const PackedTrace>(
-                                      std::move(loaded)))
-                         .first;
-                return *it->second;
+                publish(slot,
+                        std::make_shared<const PackedTrace>(
+                            std::move(loaded)),
+                        counters.packedLoads);
+                return;
             }
-            ++counters.invalidFiles;
+            count(counters.invalidFiles);
             BPSIM_WARN("cached packed trace for " << spec.name
                        << " holds " << loaded.size()
                        << " records, expected " << spec.dynamicBranches
                        << "; rebuilding");
         } else if (status == StoreStatus::Invalid) {
-            ++counters.invalidFiles;
+            count(counters.invalidFiles);
             BPSIM_WARN("cached packed trace for " << spec.name
                        << " rejected (" << why << "); rebuilding");
         }
     }
 
-    ++counters.packedBuilt;
-    it = packed
-             .emplace(spec.name, std::make_shared<const PackedTrace>(
-                                     traceFor(spec)))
-             .first;
+    auto packed = std::make_shared<const PackedTrace>(*handleFor(spec));
+    publish(slot, packed, counters.packedBuilt);
 
     if (store != nullptr) {
         std::string why;
-        if (!store->storePacked(spec.name, fingerprintFor(spec),
-                                *it->second, why))
+        if (!store->storePacked(spec.name, slot.fingerprint, *packed, why))
             BPSIM_WARN("cannot persist packed trace for " << spec.name
                        << ": " << why);
     }
-    return *it->second;
 }
 
 TraceHandle
 TraceCache::handleFor(const WorkloadSpec &spec)
 {
-    traceFor(spec);
-    return TraceHandle(traces.at(spec.name));
+    Slot &slot = slotFor(spec);
+    std::call_once(slot.traceOnce, [&] { materializeTrace(spec, slot); });
+    return TraceHandle(slot.trace);
 }
 
 PackedTraceHandle
 TraceCache::packedHandleFor(const WorkloadSpec &spec)
 {
-    packedFor(spec);
-    return PackedTraceHandle(packed.at(spec.name));
+    Slot &slot = slotFor(spec);
+    std::call_once(slot.packedOnce, [&] { materializePacked(spec, slot); });
+    return PackedTraceHandle(slot.packed);
+}
+
+bool
+TraceCache::resident(const WorkloadSpec &spec) const
+{
+    const std::lock_guard<std::mutex> lock(mu);
+    const auto it = slots.find(spec.name);
+    return it != slots.end() && it->second.trace != nullptr &&
+           it->second.packed != nullptr;
+}
+
+std::size_t
+TraceCache::generatedCount() const
+{
+    const std::lock_guard<std::mutex> lock(mu);
+    std::size_t resident = 0;
+    for (const auto &entry : slots)
+        resident += entry.second.trace != nullptr ? 1 : 0;
+    return resident;
+}
+
+TraceCache::Stats
+TraceCache::stats() const
+{
+    const std::lock_guard<std::mutex> lock(mu);
+    return counters;
 }
 
 } // namespace bpsim

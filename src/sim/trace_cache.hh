@@ -13,6 +13,11 @@
  * zero-copy mmap view — instead of regenerating. Any validation
  * failure (stale fingerprint, wrong version or size, corrupt
  * payload) silently degrades to regenerate-and-rewrite.
+ *
+ * The cache is shared across threads: resolveTraces()
+ * (campaign/campaign.hh) materializes missing traces concurrently,
+ * and the service daemon resolves every session's requests through
+ * one cache.
  */
 
 #ifndef BPSIM_SIM_TRACE_CACHE_HH
@@ -21,6 +26,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "trace/memory_trace.hh"
@@ -41,7 +47,16 @@ namespace bpsim
  */
 std::uint64_t workloadTraceFingerprint(const WorkloadSpec &spec);
 
-/** Generates benchmark traces on demand and keeps them in memory. */
+/**
+ * Generates benchmark traces on demand and keeps them in memory.
+ *
+ * Thread-safe, with per-key single flight: each benchmark name owns
+ * one slot whose two forms (record trace, packed trace) are each
+ * materialized under their own std::once_flag. Concurrent callers of
+ * one key wait for that key only; callers of other keys proceed. A
+ * short mutex guards the slot map and the counters, and no lock is
+ * held while a trace loads, generates, packs or writes.
+ */
 class TraceCache
 {
   public:
@@ -63,7 +78,10 @@ class TraceCache
      * benchmark name; passing two different specs with the same name
      * is a caller error (checked by dynamic count).
      */
-    const MemoryTrace &traceFor(const WorkloadSpec &spec);
+    const MemoryTrace &traceFor(const WorkloadSpec &spec)
+    {
+        return *handleFor(spec);
+    }
 
     /**
      * The SoA compaction of the trace for @p spec, packing it on
@@ -73,7 +91,10 @@ class TraceCache
      * is served straight from the mmap'd PBT1 file without touching
      * the full trace.
      */
-    const PackedTrace &packedFor(const WorkloadSpec &spec);
+    const PackedTrace &packedFor(const WorkloadSpec &spec)
+    {
+        return *packedHandleFor(spec);
+    }
 
     /**
      * Shared-ownership handle to the trace of @p spec (generating it
@@ -85,13 +106,18 @@ class TraceCache
     /** Shared-ownership handle to the packed trace of @p spec. */
     PackedTraceHandle packedHandleFor(const WorkloadSpec &spec);
 
-    /** Number of traces resident in memory. */
-    std::size_t generatedCount() const { return traces.size(); }
+    /** True when both forms of @p spec's trace are in memory, so
+     *  the handle calls return without any trace work. */
+    bool resident(const WorkloadSpec &spec) const;
+
+    /** Number of full traces resident in memory. */
+    std::size_t generatedCount() const;
 
     /** True when backed by a persistent store. */
     bool persistent() const { return store != nullptr; }
 
-    /** Cache-flow counters, mostly for tests and --verbose logs. */
+    /** Cache-flow counters, mostly for tests, --verbose logs and the
+     *  daemon's stats event. */
     struct Stats
     {
         /** Traces generated from scratch. */
@@ -104,21 +130,48 @@ class TraceCache
         std::size_t packedBuilt = 0;
         /** Cached files rejected by validation (then rewritten). */
         std::size_t invalidFiles = 0;
+        /** Bytes of resident trace data: 24 per record of every full
+         *  trace plus 8 per pc and bitmap word of every packed one. */
+        std::size_t residentBytes = 0;
     };
-    const Stats &stats() const { return counters; }
+    /** A snapshot of the counters. */
+    Stats stats() const;
 
   private:
-    std::uint64_t fingerprintFor(const WorkloadSpec &spec);
-    void rememberSpec(const WorkloadSpec &spec);
+    /** One benchmark name. The once_flags make each form's first
+     *  materialization single-flight; the pointers are published
+     *  under @ref mu and never change afterwards. */
+    struct Slot
+    {
+        std::uint64_t dynamicBranches = 0;
+        /** Store key (0 when memory-only). */
+        std::uint64_t fingerprint = 0;
+        std::once_flag traceOnce;
+        std::once_flag packedOnce;
+        std::shared_ptr<const MemoryTrace> trace;
+        std::shared_ptr<const PackedTrace> packed;
+    };
 
-    /** shared_ptr-valued so handleFor()/packedHandleFor() can share
-     *  ownership with callers; references handed out by
-     *  traceFor()/packedFor() stay stable either way. */
-    std::map<std::string, std::shared_ptr<const MemoryTrace>> traces;
-    std::map<std::string, std::shared_ptr<const PackedTrace>> packed;
-    std::map<std::string, std::uint64_t> dynamicCounts;
-    std::map<std::string, std::uint64_t> fingerprints;
+    Slot &slotFor(const WorkloadSpec &spec);
+    void materializeTrace(const WorkloadSpec &spec, Slot &slot);
+    void materializePacked(const WorkloadSpec &spec, Slot &slot);
+    void rememberSpec(const WorkloadSpec &spec, const Slot &slot);
+    /** Under @ref mu: stores @p trace in @p slot and counts it in
+     *  @p counter (a field of @ref counters). */
+    void publish(Slot &slot, std::shared_ptr<const MemoryTrace> trace,
+                 std::size_t &counter);
+    void publish(Slot &slot, std::shared_ptr<const PackedTrace> packed,
+                 std::size_t &counter);
+    /** Adds one to @p counter (a field of @ref counters) under
+     *  @ref mu. */
+    void count(std::size_t &counter);
+
     std::unique_ptr<TraceStore> store;
+    /** Guards @ref slots (the map, not the trace work) and
+     *  @ref counters. Slots are never erased, so references into the
+     *  map stay valid without it. */
+    mutable std::mutex mu;
+    std::map<std::string, Slot> slots;
     Stats counters;
 };
 

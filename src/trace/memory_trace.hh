@@ -4,7 +4,8 @@
  *
  * Synthetic workloads are generated once into a MemoryTrace and then
  * replayed across dozens of predictor configurations, so the storage
- * layout is kept compact (16 bytes per record after type packing).
+ * layout is kept compact (24 bytes per record, as branch_record.hh
+ * asserts).
  */
 
 #ifndef BPSIM_TRACE_MEMORY_TRACE_HH

@@ -1,5 +1,6 @@
 #include "trace/trace_store.hh"
 
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +9,8 @@
 #include <fstream>
 #include <system_error>
 #include <utility>
+
+#include <unistd.h>
 
 #include "trace/binary_io.hh"
 #include "trace/codec.hh"
@@ -73,6 +76,20 @@ writeWordsLe(std::ofstream &out, const std::uint64_t *words,
         }
     }
     return static_cast<bool>(out);
+}
+
+/**
+ * A temp name next to @p path that no other writer uses: the pid
+ * tells processes apart and a process-wide counter tells this
+ * process's writers apart, so concurrent writers of one key never
+ * share an inode and the rename commits one writer's whole file.
+ */
+std::string
+tempPathFor(const std::string &path)
+{
+    static std::atomic<std::uint64_t> writers{0};
+    return path + ".tmp." + std::to_string(::getpid()) + "." +
+           std::to_string(writers.fetch_add(1, std::memory_order_relaxed));
 }
 
 /** Replaces @p path atomically with the temp file @p tmp. */
@@ -158,7 +175,7 @@ TraceStore::storeTrace(const std::string &name, std::uint64_t fingerprint,
                        const MemoryTrace &trace, std::string &why) const
 {
     const std::string path = pathFor(name, fingerprint, ".bbt1");
-    const std::string tmp = path + ".tmp";
+    const std::string tmp = tempPathFor(path);
     {
         // BinaryTraceWriter is fatal on open failure, so probe first;
         // a store that cannot write is a warning, not a death.
@@ -286,7 +303,7 @@ TraceStore::storePacked(const std::string &name,
                         const PackedTrace &trace, std::string &why) const
 {
     const std::string path = pathFor(name, fingerprint, ".pbt1");
-    const std::string tmp = path + ".tmp";
+    const std::string tmp = tempPathFor(path);
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
         why = "cannot open '" + tmp + "' for writing";

@@ -96,7 +96,9 @@ class TraceStore
                           std::uint64_t expectedRecords, MemoryTrace &out,
                           std::string &why) const;
 
-    /** Writes the BBT1 file (atomically, via a temp file + rename).
+    /** Writes the BBT1 file (atomically, via a temp file + rename;
+     *  the temp name is unique per writer, so concurrent writers of
+     *  one key, in one process or several, each commit a whole file).
      *  Returns false and sets @p why on I/O failure; never fatal. */
     bool storeTrace(const std::string &name, std::uint64_t fingerprint,
                     const MemoryTrace &trace, std::string &why) const;
@@ -107,8 +109,8 @@ class TraceStore
                            std::uint64_t fingerprint, PackedTrace &out,
                            std::string &why) const;
 
-    /** Writes the PBT1 file (atomically). Returns false and sets
-     *  @p why on I/O failure; never fatal. */
+    /** Writes the PBT1 file (atomically, like storeTrace()).
+     *  Returns false and sets @p why on I/O failure; never fatal. */
     bool storePacked(const std::string &name, std::uint64_t fingerprint,
                      const PackedTrace &trace, std::string &why) const;
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -229,6 +234,123 @@ TEST(Campaign, ResolveTracesGeneratesOnceAndShares)
     ASSERT_EQ(first.size(), 1u);
     EXPECT_EQ(first[0].trace, second[0].trace);
     EXPECT_EQ(first[0].name, "tiny");
+}
+
+/** Specs of distinct sizes, so largest-first reorders them. */
+std::vector<WorkloadSpec>
+resolveSpecs()
+{
+    std::vector<WorkloadSpec> specs;
+    const std::uint64_t sizes[] = {4'000, 30'000, 9'000, 60'000, 15'000};
+    for (std::size_t i = 0; i < std::size(sizes); ++i) {
+        WorkloadSpec spec;
+        spec.name = "resolve" + std::to_string(i);
+        spec.staticBranches = 80;
+        spec.dynamicBranches = sizes[i];
+        spec.seed = 40 + i;
+        specs.push_back(spec);
+    }
+    return specs;
+}
+
+/** The bytes of every file in @p dir, by file name. */
+std::map<std::string, std::string>
+filesIn(const std::string &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        std::ifstream in(entry.path(), std::ios::binary);
+        files[entry.path().filename().string()] =
+            std::string((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    }
+    return files;
+}
+
+TEST(Campaign, ParallelResolveMatchesSerialTracesAndStoreFiles)
+{
+    const std::string serialDir = ::testing::TempDir() + "resolve_serial";
+    const std::string parallelDir =
+        ::testing::TempDir() + "resolve_parallel";
+    std::filesystem::remove_all(serialDir);
+    std::filesystem::remove_all(parallelDir);
+    const std::vector<WorkloadSpec> specs = resolveSpecs();
+
+    TraceCache serialCache(serialDir);
+    TraceCache parallelCache(parallelDir);
+    const auto serial = resolveTraces(serialCache, specs);
+    const auto parallel = resolveTraces(parallelCache, specs, 4);
+    EXPECT_EQ(parallelCache.stats().generated, specs.size());
+    EXPECT_EQ(parallelCache.stats().packedBuilt, specs.size());
+
+    ASSERT_EQ(parallel.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        // Spec order, whatever order the threads took them in.
+        EXPECT_EQ(parallel[i].name, specs[i].name);
+        ASSERT_EQ(parallel[i].trace->size(), specs[i].dynamicBranches);
+        EXPECT_EQ(parallel[i].trace->data(), serial[i].trace->data())
+            << specs[i].name;
+        const PackedTrace &a = *serial[i].packed;
+        const PackedTrace &b = *parallel[i].packed;
+        ASSERT_EQ(a.size(), b.size());
+        ASSERT_EQ(a.wordCount(), b.wordCount());
+        EXPECT_TRUE(std::equal(a.pcData(), a.pcData() + a.size(),
+                               b.pcData()))
+            << specs[i].name;
+        EXPECT_TRUE(std::equal(a.wordData(), a.wordData() + a.wordCount(),
+                               b.wordData()))
+            << specs[i].name;
+    }
+
+    // BBT1, PBT1 and sidecar files: same names, same bytes, and no
+    // temp file left behind.
+    const auto serialFiles = filesIn(serialDir);
+    const auto parallelFiles = filesIn(parallelDir);
+    EXPECT_EQ(serialFiles.size(), 3 * specs.size());
+    EXPECT_TRUE(serialFiles == parallelFiles);
+    std::filesystem::remove_all(serialDir);
+    std::filesystem::remove_all(parallelDir);
+}
+
+TEST(Campaign, ParallelResolveSharesWhatIsResidentAndGeneratesTheRest)
+{
+    const std::vector<WorkloadSpec> specs = resolveSpecs();
+    TraceCache cache;
+    const auto first = resolveTraces(cache, {specs[1], specs[3]});
+    const auto all = resolveTraces(cache, specs, 4);
+    EXPECT_EQ(cache.stats().generated, specs.size());
+    EXPECT_EQ(all[1].trace, first[0].trace);
+    EXPECT_EQ(all[3].packed, first[1].packed);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(all[i].name, specs[i].name);
+        EXPECT_TRUE(cache.resident(specs[i])) << specs[i].name;
+    }
+    // All resident: same handles again, nothing generated.
+    const auto again = resolveTraces(cache, specs, 4);
+    EXPECT_EQ(cache.stats().generated, specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        EXPECT_EQ(again[i].trace, all[i].trace);
+}
+
+TEST(Campaign, ResolveTracesRethrowsAHelpersExceptionOnTheCaller)
+{
+    // A dynamic count no vector can reserve: generation throws
+    // std::length_error on whichever thread takes the spec. With
+    // every spec throwing and four threads, helpers throw too; their
+    // exceptions must reach this thread instead of terminating.
+    std::vector<WorkloadSpec> specs = resolveSpecs();
+    for (WorkloadSpec &spec : specs)
+        spec.dynamicBranches = std::numeric_limits<std::uint64_t>::max();
+    TraceCache cache;
+    EXPECT_THROW(resolveTraces(cache, specs, 4), std::length_error);
+    EXPECT_EQ(cache.stats().generated, 0u);
+
+    // One bad spec among good ones fails the call the same way.
+    std::vector<WorkloadSpec> mixed = resolveSpecs();
+    mixed[2].name = "unreservable";
+    mixed[2].dynamicBranches = std::numeric_limits<std::uint64_t>::max();
+    TraceCache other;
+    EXPECT_THROW(resolveTraces(other, mixed, 4), std::length_error);
 }
 
 TEST(Campaign, WorkerCountDefaults)

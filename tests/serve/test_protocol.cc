@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "serve/client.hh"
 #include "serve/protocol.hh"
+#include "util/json.hh"
 
 namespace bpsim::serve
 {
@@ -97,8 +99,36 @@ TEST(Protocol, EventsRoundTrip)
     CampaignScheduler::Stats stats;
     stats.submitted = 5;
     stats.fusedBanks = 2;
-    event = parseEvent(statsEvent(stats));
+    TraceCache::Stats traces;
+    traces.generated = 14;
+    traces.traceLoads = 3;
+    traces.packedLoads = 4;
+    traces.packedBuilt = 11;
+    traces.invalidFiles = 1;
+    traces.residentBytes = 123'456'789;
+    const std::string line = statsEvent(stats, traces);
+    event = parseEvent(line);
     EXPECT_EQ(event.kind, Event::Kind::Stats);
+
+    // Every scheduler field keeps its name, and the trace-cache
+    // counters follow them.
+    std::string error;
+    const auto doc = JsonValue::parse(line, error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    const std::vector<std::string> keys = {
+        "event",       "submitted",   "completed",   "cancelled",
+        "callbackExceptions",         "fusedBanks",  "pending",
+        "inFlight",    "generated",   "traceLoads",  "packedLoads",
+        "packedBuilt", "invalidFiles", "residentTraceBytes"};
+    EXPECT_EQ(doc->keys(), keys);
+    EXPECT_EQ(doc->getUint("submitted"), 5u);
+    EXPECT_EQ(doc->getUint("fusedBanks"), 2u);
+    EXPECT_EQ(doc->getUint("generated"), 14u);
+    EXPECT_EQ(doc->getUint("traceLoads"), 3u);
+    EXPECT_EQ(doc->getUint("packedLoads"), 4u);
+    EXPECT_EQ(doc->getUint("packedBuilt"), 11u);
+    EXPECT_EQ(doc->getUint("invalidFiles"), 1u);
+    EXPECT_EQ(doc->getUint("residentTraceBytes"), 123'456'789u);
 }
 
 TEST(Protocol, ResultPayloadSurvivesByteExactly)

@@ -20,7 +20,9 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -32,6 +34,7 @@
 #include "campaign/emitters.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "util/json.hh"
 #include "workload/benchmarks.hh"
 
 namespace bpsim::serve
@@ -412,6 +415,114 @@ TEST_F(ServeTest, MidCampaignDisconnectDoesNotDisturbOtherClients)
     // the worker and the disconnect; shedding at all is the point).
     server->stop();
     EXPECT_GT(server->stats().disconnectCancelledJobs, 0u);
+}
+
+/** The daemon's stats event, parsed. */
+std::optional<JsonValue>
+statsOf(ServeClient &client)
+{
+    const auto reply = client.roundTrip("{\"op\":\"stats\"}");
+    if (!reply)
+        return std::nullopt;
+    std::string error;
+    return JsonValue::parse(*reply, error);
+}
+
+TEST_F(ServeTest, DivisorsThatScaleToOneCountShareOneTrace)
+{
+    // tiny_a holds 20,000 records, below the 50,000-record floor of
+    // scaledBenchmark(), so divisors 60 and 1000 both scale it to
+    // 50,000: one cache entry, one generation. Jobs still report the
+    // plain name, so both streams match their offline runs.
+    startServer(testOptions("divisors"));
+    ServeClient client = connectClient();
+    CampaignRequest request;
+    request.configs = {"gshare:n=8", "bimode:d=7"};
+    request.benchmarks = {"tiny_a"};
+    for (const std::uint64_t divisor : {60u, 1000u}) {
+        request.id = "div" + std::to_string(divisor);
+        request.divisor = divisor;
+        EXPECT_EQ(runServed(client, request), offlineReference(request, 1))
+            << "divisor " << divisor;
+    }
+
+    const auto stats = statsOf(client);
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->getUint("generated"), 1u);
+    EXPECT_EQ(stats->getUint("packedBuilt"), 1u);
+    EXPECT_EQ(stats->getUint("traceLoads"), 0u);
+    EXPECT_EQ(stats->getUint("residentTraceBytes"),
+              50'000u * sizeof(BranchRecord) +
+                  (50'000u + (50'000u + 63) / 64) * 8);
+}
+
+TEST_F(ServeTest, ColdTraceOfOneClientDoesNotDelayAnotherClient)
+{
+    // Client A's campaign needs a cold trace of 3M records; client B's
+    // only a resident one. B's whole campaign must complete while A's
+    // trace is still generating, i.e. before A's "accepted" arrives:
+    // the cache is single-flight per key, so nothing serializes B's
+    // lookup behind A's generation.
+    std::promise<void> coldRequested;
+    std::atomic<bool> signalled{false};
+    auto opts = testOptions("cold");
+    opts.resolveBenchmark =
+        [&](const std::string &name) -> std::optional<WorkloadSpec> {
+        if (name != "cold_big")
+            return tinyBenchmark(name);
+        if (!signalled.exchange(true))
+            coldRequested.set_value();
+        WorkloadSpec spec;
+        spec.name = name;
+        spec.suite = "test";
+        spec.staticBranches = 400;
+        spec.dynamicBranches = 3'000'000;
+        spec.seed = 505;
+        return spec;
+    };
+    startServer(std::move(opts));
+
+    ServeClient clientB = connectClient();
+    CampaignRequest warm;
+    warm.id = "warm";
+    warm.configs = {"bimodal:n=6"};
+    warm.benchmarks = {"tiny_a"};
+    ASSERT_FALSE(runServed(clientB, warm).empty());
+
+    std::atomic<unsigned> sequence{0};
+    unsigned acceptedAt = 0;
+    ServeClient clientA = connectClient();
+    CampaignRequest cold;
+    cold.id = "cold";
+    cold.configs = {"bimodal:n=6"};
+    cold.benchmarks = {"cold_big"};
+    ASSERT_TRUE(clientA.sendLine(campaignRequestLine(cold)));
+    std::thread readerA([&] {
+        const auto reply = clientA.readLine();
+        acceptedAt = ++sequence;
+        ASSERT_TRUE(reply.has_value());
+        EXPECT_EQ(parseEvent(*reply).kind, Event::Kind::Accepted)
+            << *reply;
+    });
+
+    // A's reader thread is now inside its request: B goes.
+    coldRequested.get_future().wait();
+    CampaignRequest hot;
+    hot.id = "hot";
+    hot.configs = {"gshare:n=8", "bimode:d=7"};
+    hot.benchmarks = {"tiny_a"};
+    EXPECT_EQ(runServed(clientB, hot), offlineReference(hot, 1));
+    const unsigned doneAt = ++sequence;
+    // Timing-free form of the same claim: B is done while A's trace
+    // has still not been generated (only tiny_a has).
+    const auto stats = statsOf(clientB);
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->getUint("generated"), 1u)
+        << "client B's campaign finished only after client A's cold "
+           "trace was generated";
+    readerA.join();
+    EXPECT_LT(doneAt, acceptedAt)
+        << "client B's campaign waited for client A's cold trace";
 }
 
 TEST_F(ServeTest, GracefulStopDrainsAcceptedCampaigns)

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "sim/trace_cache.hh"
@@ -284,6 +286,80 @@ TEST(TraceCache, WritesSpecSidecarForDebugging)
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     EXPECT_NE(text.find("workload spec"), std::string::npos);
+}
+
+TEST(TraceCache, EightThreadsOnOneKeyGenerateOnceAndShareOneObject)
+{
+    // Large enough that the eight requests overlap the generation.
+    const WorkloadSpec spec = tinySpec("shared", 300'000);
+    TraceCache cache;
+    constexpr std::size_t kThreads = 8;
+    std::latch start(kThreads);
+    std::vector<const MemoryTrace *> traces(kThreads);
+    std::vector<const PackedTrace *> packed(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            // Half ask for the packed form first, which needs the
+            // trace too: both orders must meet in one generation.
+            if (t % 2 == 0) {
+                traces[t] = cache.handleFor(spec).get();
+                packed[t] = cache.packedHandleFor(spec).get();
+            } else {
+                packed[t] = cache.packedHandleFor(spec).get();
+                traces[t] = cache.handleFor(spec).get();
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    const TraceCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.generated, 1u);
+    EXPECT_EQ(stats.packedBuilt, 1u);
+    EXPECT_EQ(cache.generatedCount(), 1u);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(traces[t], traces[0]) << "thread " << t;
+        EXPECT_EQ(packed[t], packed[0]) << "thread " << t;
+    }
+    EXPECT_EQ(traces[0]->size(), 300'000u);
+}
+
+TEST(TraceCache, ResidentOnlyOnceBothFormsAreInMemory)
+{
+    TraceCache cache;
+    const WorkloadSpec spec = tinySpec("a", 5000);
+    EXPECT_FALSE(cache.resident(spec));
+    cache.traceFor(spec);
+    EXPECT_FALSE(cache.resident(spec));
+    cache.packedFor(spec);
+    EXPECT_TRUE(cache.resident(spec));
+    EXPECT_FALSE(cache.resident(tinySpec("b", 5000)));
+}
+
+TEST(TraceCache, CountsResidentBytesOfBothForms)
+{
+    TraceCache cache;
+    const MemoryTrace &trace = cache.traceFor(tinySpec("a", 5000));
+    EXPECT_EQ(cache.stats().residentBytes, 5000u * sizeof(BranchRecord));
+    const PackedTrace &packed = cache.packedFor(tinySpec("a", 5000));
+    EXPECT_EQ(cache.stats().residentBytes,
+              trace.size() * sizeof(BranchRecord) +
+                  (packed.size() + packed.wordCount()) * 8);
+    // Repeats add nothing.
+    cache.packedFor(tinySpec("a", 5000));
+    EXPECT_EQ(cache.stats().residentBytes,
+              trace.size() * sizeof(BranchRecord) +
+                  (packed.size() + packed.wordCount()) * 8);
+}
+
+TEST(TraceCacheDeath, ConflictingSpecsPanicOnThePackedPathToo)
+{
+    TraceCache cache;
+    cache.packedFor(tinySpec("a", 5000));
+    EXPECT_DEATH(cache.packedFor(tinySpec("a", 6000)),
+                 "different dynamic counts");
 }
 
 } // namespace

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <thread>
 
 #include "trace/codec.hh"
 #include "trace/memory_trace.hh"
@@ -412,6 +415,69 @@ TEST(TraceStore, HostilePackedCountIsInvalidNotACrash)
     EXPECT_EQ(store.loadPacked("gcc", kFp, loaded, why),
               StoreStatus::Invalid);
     EXPECT_NE(why.find("records need"), std::string::npos) << why;
+}
+
+TEST(TraceStore, ConcurrentWritersOfOneKeyEachCommitAWholeFile)
+{
+    // Two stores over one directory (as two processes sharing a
+    // store, or two caches in one process) write different payloads
+    // under one key at the same time. Each writer has its own temp
+    // file, so the committed file is one writer's whole output —
+    // never an interleaving — and no temp file survives.
+    TempStoreDir dir("store_concurrent");
+    const TraceStore storeA(dir.path());
+    const TraceStore storeB(dir.path());
+    const MemoryTrace traceA = randomTrace(20'000, 61);
+    const MemoryTrace traceB = randomTrace(20'000, 62);
+    const PackedTrace packedA(traceA);
+    const PackedTrace packedB(traceB);
+
+    for (int round = 0; round < 20; ++round) {
+        const auto write = [&](const TraceStore &store,
+                               const MemoryTrace &trace,
+                               const PackedTrace &packed) {
+            std::string why;
+            EXPECT_TRUE(store.storeTrace("key", 7, trace, why)) << why;
+            EXPECT_TRUE(store.storePacked("key", 7, packed, why)) << why;
+        };
+        std::thread writerA(write, std::cref(storeA), std::cref(traceA),
+                            std::cref(packedA));
+        std::thread writerB(write, std::cref(storeB), std::cref(traceB),
+                            std::cref(packedB));
+        writerA.join();
+        writerB.join();
+
+        MemoryTrace loaded;
+        std::string why;
+        ASSERT_EQ(storeA.loadTrace("key", 7, 20'000, loaded, why),
+                  StoreStatus::Loaded)
+            << "round " << round << ": " << why;
+        EXPECT_TRUE(loaded.data() == traceA.data() ||
+                    loaded.data() == traceB.data())
+            << "round " << round;
+
+        PackedTrace packed;
+        ASSERT_EQ(storeB.loadPacked("key", 7, packed, why),
+                  StoreStatus::Loaded)
+            << "round " << round << ": " << why;
+        const PackedTrace &expected =
+            packed.size() == packedA.size() &&
+                    std::equal(packedA.pcData(),
+                               packedA.pcData() + packedA.size(),
+                               packed.pcData())
+                ? packedA
+                : packedB;
+        ASSERT_EQ(packed.size(), expected.size()) << "round " << round;
+        EXPECT_TRUE(std::equal(expected.wordData(),
+                               expected.wordData() + expected.wordCount(),
+                               packed.wordData()))
+            << "round " << round;
+    }
+
+    for (const auto &entry : std::filesystem::directory_iterator(dir.path()))
+        EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+                  std::string::npos)
+            << entry.path();
 }
 
 TEST(TraceStore, StemSanitizesHostileNames)
