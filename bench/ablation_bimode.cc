@@ -32,6 +32,7 @@ main(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 0;
     const std::uint64_t divisor = applyCommonOptions(args);
+    const unsigned jobs = CommonOptions::fromArgs(args).jobs;
     const unsigned d = static_cast<unsigned>(args.getUint("d"));
 
     TraceCache cache(traceStoreDir(args));
@@ -63,8 +64,8 @@ main(int argc, char **argv)
     configs.reserve(variants.size());
     for (const Variant &variant : variants)
         configs.push_back(variant.config);
-    campaign.addGrid(configs, resolveTraces(cache, suite, 0));
-    const auto results = campaign.run(0, verboseProgress());
+    campaign.addGrid(configs, resolveTraces(cache, suite, jobs));
+    const auto results = campaign.run(jobs, verboseProgress());
     maybeEmitJson(args, results, "bi-mode ablations");
 
     TextTable table;

@@ -31,10 +31,6 @@ applyCommonOptions(const ArgParser &args)
         tier = KernelTier::Auto;
     }
     setKernelTierOverride(tier);
-    // The blocking drivers call Campaign::run(0) all over; feed the
-    // legacy process-wide default for them. Scheduler-based callers
-    // pass opts.jobs explicitly instead.
-    setDefaultWorkerCount(opts.jobs);
     return opts.quickDivisor();
 }
 
@@ -97,10 +93,11 @@ emitTable(const ArgParser &args, const TextTable &table,
 std::vector<SchemeCurvePoint>
 measureSchemeCurves(TraceCache &cache,
                     const std::vector<WorkloadSpec> &specs,
-                    const std::vector<SizePoint> &ladder)
+                    const std::vector<SizePoint> &ladder,
+                    unsigned workers)
 {
     const std::vector<BenchmarkTrace> benchmarks =
-        resolveTraces(cache, specs, 0);
+        resolveTraces(cache, specs, workers);
 
     std::vector<SchemeCurvePoint> curve;
     curve.reserve(ladder.size());
@@ -116,7 +113,7 @@ measureSchemeCurves(TraceCache &cache,
         // pass per benchmark. The m == n point doubles as
         // gshare.1PHT.
         const GshareSweepResult sweep =
-            sweepGshare(size.gshareIndexBits, benchmarks);
+            sweepGshare(size.gshareIndexBits, benchmarks, 0, workers);
         const GshareSweepPoint &best = sweep.best();
         const GshareSweepPoint &pht1 = sweep.points.back();
         point.bestHistoryBits = best.historyBits;
@@ -133,7 +130,7 @@ measureSchemeCurves(TraceCache &cache,
             {"bimode:d=" + std::to_string(size.bimodeDirectionBits)},
             benchmarks);
         const std::vector<JobResult> results =
-            bimodeJobs.run(0, verboseProgress());
+            bimodeJobs.run(workers, verboseProgress());
         double total = 0.0;
         for (const JobResult &job : results) {
             if (!job.ok())

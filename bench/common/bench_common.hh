@@ -44,7 +44,9 @@ namespace bpsim::bench
 /** Declares the common options on @p args. */
 void addCommonOptions(ArgParser &args);
 
-/** Applies --verbose and --jobs; returns the --quick scale-down. */
+/** Applies --verbose and --kernel-tier; returns the --quick
+ *  scale-down. Bench binaries pass --jobs explicitly where they
+ *  run work. */
 std::uint64_t applyCommonOptions(const ArgParser &args);
 
 /** Resolves --trace-cache through the flag/env/default ladder; ""
@@ -91,13 +93,15 @@ struct SchemeCurvePoint
  * Runs the Figure 2/3/4 measurement: for each ladder rung, sweeps
  * gshare history lengths over the suite (paper §3.1), then measures
  * gshare.1PHT, gshare.best and the natural bi-mode point. Both
- * stages run as campaign grids on the --jobs worker pool; results
- * are identical at any worker count.
+ * stages run as campaign grids on @p workers threads (the --jobs
+ * value; 0 = one per hardware thread); results are identical at any
+ * worker count.
  */
 std::vector<SchemeCurvePoint>
 measureSchemeCurves(TraceCache &cache,
                     const std::vector<WorkloadSpec> &specs,
-                    const std::vector<SizePoint> &ladder);
+                    const std::vector<SizePoint> &ladder,
+                    unsigned workers);
 
 /**
  * Runs a Figure 7/8 style misprediction breakdown: for second-level

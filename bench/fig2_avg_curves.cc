@@ -34,8 +34,8 @@ reportSuite(const ArgParser &args, TraceCache &cache,
             const std::vector<WorkloadSpec> &specs,
             const std::string &label)
 {
-    const auto curve =
-        measureSchemeCurves(cache, specs, paperSizeLadder());
+    const auto curve = measureSchemeCurves(
+        cache, specs, paperSizeLadder(), CommonOptions::fromArgs(args).jobs);
     TextTable table;
     table.setColumns({"size (KB)", "gshare.1PHT", "gshare.best",
                       "(best h)", "bi-mode", "(bi-mode KB)"});

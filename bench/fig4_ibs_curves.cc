@@ -28,8 +28,8 @@ main(int argc, char **argv)
 
     TraceCache cache(traceStoreDir(args));
     const auto specs = scaledSuite(ibsBenchmarks(), divisor);
-    const auto curve =
-        measureSchemeCurves(cache, specs, paperSizeLadder());
+    const auto curve = measureSchemeCurves(
+        cache, specs, paperSizeLadder(), CommonOptions::fromArgs(args).jobs);
 
     for (std::size_t b = 0; b < specs.size(); ++b) {
         TextTable table;

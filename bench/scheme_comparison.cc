@@ -46,10 +46,11 @@ main(int argc, char **argv)
     if (!args.parse(argc, argv))
         return 0;
     const std::uint64_t divisor = applyCommonOptions(args);
+    const unsigned jobs = CommonOptions::fromArgs(args).jobs;
 
     TraceCache cache(traceStoreDir(args));
     const auto specs = scaledSuite(allBenchmarks(), divisor);
-    const auto benchmarks = resolveTraces(cache, specs, 0);
+    const auto benchmarks = resolveTraces(cache, specs, jobs);
 
     // Configurations sized to land at (or just under) each budget.
     const std::vector<BudgetClass> budgets = {
@@ -73,7 +74,7 @@ main(int argc, char **argv)
     for (const BudgetClass &budget : budgets) {
         Campaign campaign;
         campaign.addGrid(budget.configs, benchmarks);
-        const auto results = campaign.run(0, verboseProgress());
+        const auto results = campaign.run(jobs, verboseProgress());
         maybeEmitJson(args, results,
                       std::string("scheme comparison ") + budget.label);
 

@@ -14,13 +14,13 @@
  *
  * Same-kind configurations fuse into one banked replay pass
  * (campaign fusion works for probed runs too), so a bimode size
- * ladder exercises the vectorized probed kernels; set --kernel-tier
- * scalar to pin the scalar bank (CI byte-diffs the two).
+ * ladder runs as one probed scalar bank; per-branch counts never
+ * depend on --kernel-tier (CI byte-diffs scalar against auto).
  *
  * Usage: h2p_report [--benchmark gcc]
  *                   [--predictors bimode:d=11;gshare:n=12]
  *                   [--coverage 90] [--top 20] [--warmup 0]
- *                   [--csv | --json] [--quick] [--kernel-tier auto]
+ *                   [--csv | --json] [--quick]
  */
 
 #include <iostream>
@@ -29,7 +29,6 @@
 
 #include "analysis/h2p.hh"
 #include "campaign/campaign.hh"
-#include "sim/simd/kernel_tier.hh"
 #include "sim/trace_cache.hh"
 #include "trace/trace_store.hh"
 #include "util/args.hh"
@@ -87,12 +86,6 @@ main(int argc, char **argv)
         std::cerr << "no predictor configs\n";
         return 1;
     }
-    KernelTier tier = KernelTier::Auto;
-    if (!parseKernelTier(opts.kernelTier, tier)) {
-        std::cerr << "unknown kernel tier '" << opts.kernelTier << "'\n";
-        return 1;
-    }
-
     TraceCache cache(resolveTraceStoreDir(opts.traceCache));
     const std::vector<BenchmarkTrace> benches = resolveTraces(
         cache, {scaledBenchmark(*spec, opts.quickDivisor())});
@@ -100,7 +93,6 @@ main(int argc, char **argv)
     SimConfig simConfig;
     simConfig.warmupBranches = args.getUint("warmup");
     simConfig.trackPerBranch = true;
-    simConfig.kernelTier = tier;
     Campaign campaign;
     campaign.addGrid(configs, benches, simConfig);
     const std::vector<JobResult> results = campaign.run(opts.jobs);

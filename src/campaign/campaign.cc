@@ -10,34 +10,14 @@
 #include <utility>
 
 #include "campaign/scheduler.hh"
-#include "core/factory.hh"
-#include "sim/replay.hh"
 #include "util/logging.hh"
 
 namespace bpsim
 {
 
-namespace
-{
-
-/** 0 = follow the hardware; set from --jobs. */
-std::atomic<unsigned> configured_workers{0};
-
-} // namespace
-
-void
-setDefaultWorkerCount(unsigned n)
-{
-    configured_workers.store(n, std::memory_order_relaxed);
-}
-
 unsigned
 defaultWorkerCount()
 {
-    const unsigned configured =
-        configured_workers.load(std::memory_order_relaxed);
-    if (configured != 0)
-        return configured;
     const unsigned hardware = std::thread::hardware_concurrency();
     return hardware == 0 ? 1 : hardware;
 }
@@ -71,31 +51,6 @@ Campaign::addGrid(const std::vector<std::string> &configs,
     for (const std::string &config : configs)
         for (const BenchmarkTrace &benchmark : benchmarks)
             addJob(config, benchmark, simConfig);
-}
-
-JobResult
-runJob(const Job &job)
-{
-    JobResult result;
-    result.index = job.index;
-    result.benchmark = job.benchmark;
-    result.configText = job.configText;
-
-    if (job.trace == nullptr) {
-        result.error = "job has no trace bound";
-        return result;
-    }
-    PredictorResult made = tryMakePredictor(job.configText);
-    if (!made.ok()) {
-        result.error = std::move(made.error);
-        return result;
-    }
-    auto reader = job.trace->reader();
-    result.result = simulateAny(*made.predictor, reader,
-                                job.packed.get(), job.simConfig);
-    result.result.benchmark = job.benchmark;
-    result.result.configText = job.configText;
-    return result;
 }
 
 std::vector<JobResult>

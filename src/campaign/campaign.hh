@@ -23,15 +23,15 @@
  * replayKernelBankAny()) that streams the trace once for the whole
  * group. A fig2-style size ladder or gshare.best sweep therefore
  * touches each benchmark's trace once instead of once per rung.
- * Per-branch tracking fuses too (the bank runs with a per-lane
- * probe, sim/probe.hh), though only with jobs that also track — the
- * tracking flag is part of the fusion key. Everything else —
- * heterogeneous kinds, jobs without a packed trace, malformed
- * configs — runs on the classic per-job path. Fusion changes wall time only: per-job counts,
+ * Per-branch tracking fuses too (the scalar bank runs with a
+ * per-lane probe, sim/probe.hh), though only with jobs that also
+ * track — the tracking flag is part of the fusion key. Everything
+ * else — heterogeneous kinds, jobs without a packed trace, malformed
+ * configs — runs alone, through the same batch runner with a batch
+ * of one. Fusion changes wall time only: per-job counts,
  * errors and emitted JSON are bit-identical to an unfused run
  * (enforced by tests/sim/test_replay_bank.cc), and setFusion(false)
- * forces the per-job path, e.g. to time configurations in
- * isolation.
+ * runs every job alone, e.g. to time configurations in isolation.
  *
  * Configuration errors do not kill a campaign: a job whose config
  * string is rejected by tryMakePredictor() completes with
@@ -130,20 +130,8 @@ struct CampaignProgress
  */
 using ProgressFn = std::function<void(const CampaignProgress &)>;
 
-/**
- * Sets the process-wide default worker count used when run() is
- * called with workers == 0. Wired to the bench binaries' `--jobs`
- * flag; 0 means "one worker per hardware thread".
- *
- * Legacy knob: only the blocking Campaign::run(0) compatibility
- * wrapper consults it. New code should pass the worker count
- * explicitly — CampaignScheduler::Options::workers is per-scheduler
- * state, never global (util/args CommonOptions carries the parsed
- * `--jobs` value for exactly that hand-off).
- */
-void setDefaultWorkerCount(unsigned n);
-
-/** The resolved default worker count (always >= 1). */
+/** One worker per hardware thread (always >= 1): what a worker
+ *  count of 0 means throughout the campaign API. */
 unsigned defaultWorkerCount();
 
 /** A declarative batch of predictor-on-trace simulations. */
@@ -195,7 +183,8 @@ class Campaign
     bool fuseJobs = true;
 };
 
-/** Runs one job synchronously (the worker-loop body). */
+/** Runs one job synchronously: the one-job form of the scheduler's
+ *  batch runner (a one-lane bank, else the virtual loop). */
 JobResult runJob(const Job &job);
 
 /**

@@ -38,20 +38,20 @@ GshareSweepResult::best() const
 GshareSweepResult
 sweepGshare(unsigned indexBits,
             const std::vector<const MemoryTrace *> &traces,
-            unsigned minHistory)
+            unsigned minHistory, unsigned workers)
 {
     std::vector<BenchmarkTrace> benchmarks;
     benchmarks.reserve(traces.size());
     for (std::size_t b = 0; b < traces.size(); ++b)
         benchmarks.push_back(
             {"trace" + std::to_string(b), traces[b], {}});
-    return sweepGshare(indexBits, benchmarks, minHistory);
+    return sweepGshare(indexBits, benchmarks, minHistory, workers);
 }
 
 GshareSweepResult
 sweepGshare(unsigned indexBits,
             const std::vector<BenchmarkTrace> &benchmarks,
-            unsigned minHistory)
+            unsigned minHistory, unsigned workers)
 {
     if (benchmarks.empty())
         BPSIM_PANIC("gshare sweep needs at least one trace");
@@ -64,7 +64,7 @@ sweepGshare(unsigned indexBits,
 
     Campaign campaign;
     campaign.addGrid(configs, benchmarks);
-    const std::vector<JobResult> jobs = campaign.run();
+    const std::vector<JobResult> jobs = campaign.run(workers);
 
     GshareSweepResult result;
     result.indexBits = indexBits;

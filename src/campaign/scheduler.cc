@@ -22,17 +22,77 @@ namespace
  */
 constexpr std::size_t kMaxBankLanes = 32;
 
+/**
+ * Runs one batch of jobs sharing a bank key (takeBatch()), a batch of
+ * one included: constructs every job's predictor, banks them through
+ * replayKernelBankAny(), and otherwise runs each on the virtual loop.
+ * Unbound traces and construction errors land in their own job's
+ * result without affecting the others.
+ */
+std::vector<JobResult>
+runBatch(const std::vector<const Job *> &jobs)
+{
+    std::vector<JobResult> results(jobs.size());
+    std::vector<PredictorPtr> owned;
+    std::vector<BranchPredictor *> bank;
+    std::vector<std::size_t> laneSlot;
+    for (std::size_t k = 0; k < jobs.size(); ++k) {
+        const Job &job = *jobs[k];
+        JobResult &result = results[k];
+        result.index = job.index;
+        result.benchmark = job.benchmark;
+        result.configText = job.configText;
+        if (job.trace == nullptr) {
+            result.error = "job has no trace bound";
+            continue;
+        }
+        PredictorResult made = tryMakePredictor(job.configText);
+        if (!made.ok()) {
+            result.error = std::move(made.error);
+            continue;
+        }
+        bank.push_back(made.predictor.get());
+        owned.push_back(std::move(made.predictor));
+        laneSlot.push_back(k);
+    }
+    if (bank.empty())
+        return results;
+
+    const Job &first = *jobs[laneSlot.front()];
+    std::vector<SimResult> sims;
+    if (first.packed == nullptr ||
+        !replayKernelBankAny(bank, *first.packed, first.simConfig,
+                             sims)) {
+        // No packed trace, or a kind without a kernel.
+        for (std::size_t lane = 0; lane < bank.size(); ++lane) {
+            const Job &job = *jobs[laneSlot[lane]];
+            auto reader = job.trace->reader();
+            sims.push_back(simulate(*bank[lane], reader, job.simConfig));
+        }
+    }
+    for (std::size_t lane = 0; lane < sims.size(); ++lane) {
+        JobResult &result = results[laneSlot[lane]];
+        result.result = std::move(sims[lane]);
+        result.result.benchmark = result.benchmark;
+        result.result.configText = result.configText;
+    }
+    return results;
+}
+
 } // namespace
+
+JobResult
+runJob(const Job &job)
+{
+    return std::move(runBatch({&job}).front());
+}
 
 CampaignScheduler::CampaignScheduler() : CampaignScheduler(Options{}) {}
 
 CampaignScheduler::CampaignScheduler(Options options) : opts(options)
 {
-    resolvedWorkers = opts.workers;
-    if (resolvedWorkers == 0) {
-        const unsigned hardware = std::thread::hardware_concurrency();
-        resolvedWorkers = hardware == 0 ? 1 : hardware;
-    }
+    resolvedWorkers =
+        opts.workers == 0 ? defaultWorkerCount() : opts.workers;
     paused = opts.paused;
     pool.reserve(resolvedWorkers);
     for (unsigned t = 0; t < resolvedWorkers; ++t)
@@ -238,7 +298,7 @@ CampaignScheduler::takeBatch(std::unique_lock<std::mutex> &lock)
             // trackPerBranch is too: the bank probes all lanes or
             // none, so tracked and untracked jobs run separate
             // passes and the untracked ones keep the unprobed
-            // (zero-overhead) kernel instantiation.
+            // kernels and their SIMD tiers.
             if (it->fuseKind == headKind &&
                 it->job.packed.get() == headPacked &&
                 it->job.simConfig.warmupBranches == headWarmup &&
@@ -258,21 +318,6 @@ CampaignScheduler::takeBatch(std::unique_lock<std::mutex> &lock)
     return batch;
 }
 
-namespace
-{
-
-/**
- * Runs one fused batch: constructs every job's predictor, banks the
- * successes through replayKernelBankAny(), and lands construction
- * errors exactly as the per-job path would. Falls back to per-job
- * runs if the bank refuses the batch (which batching should make
- * impossible).
- */
-std::vector<JobResult>
-runFusedBatch(const std::string &kind, const std::vector<Job *> &jobs);
-
-} // namespace
-
 void
 CampaignScheduler::workerLoop()
 {
@@ -289,16 +334,11 @@ CampaignScheduler::workerLoop()
         std::vector<Pending> batch = takeBatch(lock);
         lock.unlock();
 
-        std::vector<JobResult> results;
-        if (batch.size() == 1 && batch.front().fuseKind.empty()) {
-            results.push_back(runJob(batch.front().job));
-        } else {
-            std::vector<Job *> jobs;
-            jobs.reserve(batch.size());
-            for (Pending &pending : batch)
-                jobs.push_back(&pending.job);
-            results = runFusedBatch(batch.front().fuseKind, jobs);
-        }
+        std::vector<const Job *> jobs;
+        jobs.reserve(batch.size());
+        for (const Pending &pending : batch)
+            jobs.push_back(&pending.job);
+        std::vector<JobResult> results = runBatch(jobs);
 
         {
             // One callback at a time, scheduler-wide: completion
@@ -342,56 +382,5 @@ CampaignScheduler::deliver(const Pending &pending, JobResult result)
                    << " threw; result dropped for that ticket only");
     }
 }
-
-namespace
-{
-
-std::vector<JobResult>
-runFusedBatch(const std::string &kind, const std::vector<Job *> &jobs)
-{
-    std::vector<JobResult> results(jobs.size());
-    std::vector<PredictorPtr> owned;
-    std::vector<BranchPredictor *> bank;
-    std::vector<std::size_t> lane_slot;
-    for (std::size_t k = 0; k < jobs.size(); ++k) {
-        const Job &job = *jobs[k];
-        JobResult &result = results[k];
-        result.index = job.index;
-        result.benchmark = job.benchmark;
-        result.configText = job.configText;
-        PredictorResult made = tryMakePredictor(job.configText);
-        if (!made.ok()) {
-            result.error = std::move(made.error);
-            continue;
-        }
-        bank.push_back(made.predictor.get());
-        owned.push_back(std::move(made.predictor));
-        lane_slot.push_back(k);
-    }
-
-    std::vector<SimResult> sims;
-    const Job &first = *jobs.front();
-    if (bank.empty() ||
-        !replayKernelBankAny(kind, bank, *first.packed, first.simConfig,
-                             sims)) {
-        if (!bank.empty()) {
-            BPSIM_WARN("bank kernel refused fused batch of kind '"
-                       << kind << "'; running jobs singly");
-            for (std::size_t k = 0; k < jobs.size(); ++k)
-                results[k] = runJob(*jobs[k]);
-        }
-        return results;
-    }
-
-    for (std::size_t lane = 0; lane < sims.size(); ++lane) {
-        JobResult &result = results[lane_slot[lane]];
-        result.result = std::move(sims[lane]);
-        result.result.benchmark = result.benchmark;
-        result.result.configText = result.configText;
-    }
-    return results;
-}
-
-} // namespace
 
 } // namespace bpsim

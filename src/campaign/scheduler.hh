@@ -41,9 +41,8 @@
  *     accepted job has completed; shutdown() additionally stops
  *     admission and joins the pool (the destructor calls it).
  *
- * Worker count is per-scheduler state (Options::workers), not the
- * process-wide setDefaultWorkerCount() global — two schedulers in
- * one process size their pools independently.
+ * Worker count is per-scheduler state (Options::workers): two
+ * schedulers in one process size their pools independently.
  */
 
 #ifndef BPSIM_CAMPAIGN_SCHEDULER_HH
@@ -82,9 +81,8 @@ class CampaignScheduler
 
     struct Options
     {
-        /** Worker threads; 0 = one per hardware thread. Explicit
-         *  per-scheduler state (the setDefaultWorkerCount() global
-         *  is only consulted by the legacy Campaign::run(0)). */
+        /** Worker threads; 0 = defaultWorkerCount(), one per
+         *  hardware thread. */
         unsigned workers = 0;
         /** Fuse compatible pending jobs into banked sweeps at
          *  dispatch time (results are bit-identical either way). */
@@ -189,8 +187,9 @@ class CampaignScheduler
     {
         Ticket ticket = 0;
         Job job;
-        /** Fast-replay kind when the job is fusable; empty pins the
-         *  job to the per-job path. Computed once at admission. */
+        /** Fast-replay kind when the job is fusable (the fusion
+         *  key); empty keeps the job in a batch of one. Computed
+         *  once at admission. */
         std::string fuseKind;
         CompletionFn done;
     };

@@ -224,7 +224,7 @@ CampaignServer::handleCampaign(const std::shared_ptr<Session> &session,
         // Generation depends only on the spec's parameters, never its
         // name, and jobs still report the plain name.
         if (spec->dynamicBranches != fullCount)
-            spec->name += "@" + std::to_string(spec->dynamicBranches);
+            spec->name += '@' + std::to_string(spec->dynamicBranches);
         specs.push_back(std::move(*spec));
     }
     std::vector<BenchmarkTrace> benchmarks =
@@ -232,30 +232,17 @@ CampaignServer::handleCampaign(const std::shared_ptr<Session> &session,
     for (std::size_t i = 0; i < benchmarks.size(); ++i)
         benchmarks[i].name = request.benchmarks[i];
 
-    // Config-major grid, exactly Campaign::addGrid()'s order — the
-    // contract that makes streamed output line up with the offline
-    // emitter's array positions.
-    std::vector<Job> jobs;
-    jobs.reserve(request.jobCount());
+    // The offline emitter's grid, so streamed output lines up with
+    // its array positions.
     SimConfig simConfig;
     simConfig.warmupBranches = request.warmup;
     simConfig.trackPerBranch = request.perBranch;
-    for (const std::string &config : request.configs) {
-        for (const BenchmarkTrace &benchmark : benchmarks) {
-            Job job;
-            job.index = jobs.size();
-            job.configText = config;
-            job.benchmark = benchmark.name;
-            job.trace = benchmark.trace;
-            job.packed = benchmark.packed;
-            job.simConfig = simConfig;
-            jobs.push_back(std::move(job));
-        }
-    }
+    Campaign grid;
+    grid.addGrid(request.configs, benchmarks, simConfig);
 
     auto campaign = std::make_shared<CampaignState>();
     campaign->id = request.id;
-    campaign->jobCount = jobs.size();
+    campaign->jobCount = grid.jobCount();
     campaign->timing = request.timing;
 
     // The write lock is held across admission so the "accepted"
@@ -277,7 +264,7 @@ CampaignServer::handleCampaign(const std::shared_ptr<Session> &session,
 
     std::weak_ptr<Session> weak(session);
     auto tickets = scheduler.trySubmitAll(
-        std::move(jobs),
+        grid.jobs(),
         [this, weak, campaign](CampaignScheduler::Ticket,
                                JobResult result) {
             onJobDone(weak, campaign, std::move(result));

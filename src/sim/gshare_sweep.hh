@@ -13,7 +13,7 @@
  * over every benchmark and reports per-m suite averages.
  *
  * Internally the sweep is a campaign grid (campaign/campaign.hh)
- * executed on defaultWorkerCount() worker threads — every m × trace
+ * executed on a pool of worker threads — every m × trace
  * pair is an independent job. All points share one kind ("gshare")
  * and one trace per benchmark, so when the benchmarks carry packed
  * traces the campaign fuses the whole sweep into one banked kernel
@@ -59,14 +59,18 @@ struct GshareSweepResult
 /**
  * Sweeps gshare history lengths m in [minHistory, indexBits] at a
  * 2^indexBits-counter budget over @p benchmarks, in parallel on the
- * campaign engine's shared worker pool. Benchmarks that carry a
+ * campaign engine's worker pool. Benchmarks that carry a
  * packed trace run the whole sweep as one banked replay pass per
  * benchmark (campaign fusion); the others fall back to one virtual
  * replay per point.
+ *
+ * @param workers worker threads, as for Campaign::run(); 0 uses
+ *        defaultWorkerCount()
  */
 GshareSweepResult sweepGshare(unsigned indexBits,
                               const std::vector<BenchmarkTrace> &benchmarks,
-                              unsigned minHistory = 0);
+                              unsigned minHistory = 0,
+                              unsigned workers = 0);
 
 /**
  * Convenience overload over bare traces (no packed form, so no
@@ -75,7 +79,8 @@ GshareSweepResult sweepGshare(unsigned indexBits,
  */
 GshareSweepResult sweepGshare(unsigned indexBits,
                               const std::vector<const MemoryTrace *> &traces,
-                              unsigned minHistory = 0);
+                              unsigned minHistory = 0,
+                              unsigned workers = 0);
 
 } // namespace bpsim
 

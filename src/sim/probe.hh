@@ -5,9 +5,9 @@
  * The replay stack's speed rests on hot loops that touch nothing but
  * predictor state and the trace; any per-branch instrumentation
  * added unconditionally would tax every campaign that never asked
- * for it. Probes resolve that tension at compile time: the kernels
- * (sim/replay_kernel.hh, sim/simd/simd_kernel.hh) take a Probe
- * template parameter whose record() call sits in the measured loop.
+ * for it. Probes resolve that tension at compile time: the scalar
+ * kernels (sim/replay_kernel.hh) take a Probe template parameter
+ * whose record() call sits in the measured loop.
  * The default NullProbe's record() is an empty inline function — the
  * instantiation is the exact pre-probe loop, so the unprobed kernels
  * keep their codegen and throughput (bench/perf_replay.cc guards
@@ -26,9 +26,8 @@
  *
  * Bank forms: replayKernelBank() takes a BankProbe whose lane(l)
  * yields the per-lane solo probe, so the scalar bank's lane-major
- * loop records into disjoint per-lane counter blocks. The SIMD tiers
- * use their own runtime sink (SimdBankProbe, sim/simd/simd_bank.hh)
- * merged into the same blocks post-pass.
+ * loop records into disjoint per-lane counter blocks. A probed bank
+ * never takes a SIMD tier: the vectorized kernels carry no probe.
  */
 
 #ifndef BPSIM_SIM_PROBE_HH
@@ -48,18 +47,12 @@ namespace bpsim
 /** The default probe: records nothing, compiles to nothing. */
 struct NullProbe
 {
-    /** False keeps the kernels' structural probe work (SIMD probe
-     *  arenas, fallback logging) out of the instantiation entirely. */
-    static constexpr bool kEnabled = false;
-
     void record(std::size_t /* i */, bool /* mispredicted */) const {}
 };
 
 /** Dense per-static-branch misprediction sink for one replay lane. */
 struct PerBranchProbe
 {
-    static constexpr bool kEnabled = true;
-
     /** Per-record ids, PcIndex::idData() of the replayed trace. */
     const std::uint32_t *ids = nullptr;
     /** One counter per static branch (PcIndex::staticCount()),
@@ -76,6 +69,8 @@ struct PerBranchProbe
 /** Bank form of NullProbe: every lane records nothing. */
 struct NullBankProbe
 {
+    /** False lets replayKernelBank() try the SIMD tiers; enabled
+     *  bank probes keep a bank on the scalar lanes. */
     static constexpr bool kEnabled = false;
 
     NullProbe lane(std::size_t /* l */) const { return {}; }

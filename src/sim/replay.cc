@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/registry.hh"
 #include "sim/probe.hh"
@@ -72,69 +74,42 @@ runBank(const std::vector<BranchPredictor *> &predictors,
 } // namespace
 
 bool
-replayKernelBankAny(const std::string &kind,
-                    const std::vector<BranchPredictor *> &predictors,
+replayKernelBankAny(const std::vector<BranchPredictor *> &predictors,
                     const PackedTrace &packed, const SimConfig &config,
                     std::vector<SimResult> &results)
 {
-    // Registry fold: the banked kernel is instantiated once per
-    // fast-replay entry, selected by the group's kind string. A new
-    // registry entry with fastReplay set is picked up here (and in
-    // simulateAny() below) with no further wiring.
-    bool handled = false;
+    // Registry fold: one dynamic_cast of the group's first instance
+    // per *run* (not per branch) selects the banked kernel's concrete
+    // instantiation. Entries sharing a C++ type (the two-level
+    // taxonomy kinds) resolve to the same instantiation; the first
+    // match wins. A new registry entry with fastReplay set is picked
+    // up here with no further wiring.
+    if (predictors.empty())
+        return false;
+    bool matched = false;
+    bool ran = false;
     forEachPredictorEntry([&]<typename Entry>() {
         if constexpr (Entry::fastReplay) {
-            if (!handled && kind == Entry::kind) {
-                handled = runBank<typename Entry::Predictor>(
-                    predictors, packed, config, results);
+            using Pred = typename Entry::Predictor;
+            if (!matched && dynamic_cast<Pred *>(predictors.front())) {
+                matched = true;
+                ran = runBank<Pred>(predictors, packed, config, results);
             }
         }
     });
-    return handled;
+    return ran;
 }
 
 SimResult
 simulateAny(BranchPredictor &predictor, TraceReader &trace,
             const PackedTrace *packed, const SimConfig &config)
 {
-    // One dynamic_cast per *run* (not per branch) selects the
-    // concrete kernel instantiation via a registry fold. Entries
-    // sharing a C++ type (the two-level taxonomy kinds) resolve to
-    // the same instantiation; the first match wins. Per-branch runs
-    // take the same kernel with a PerBranchProbe instantiation.
-    if (packed) {
-        SimResult result;
-        bool ran = false;
-        forEachPredictorEntry([&]<typename Entry>() {
-            if constexpr (Entry::fastReplay) {
-                if (ran)
-                    return;
-                if (auto *p = dynamic_cast<typename Entry::Predictor *>(
-                        &predictor)) {
-                    if (config.trackPerBranch) {
-                        const PcIndex index(*packed);
-                        const std::size_t total = packed->size();
-                        const std::size_t warmup = std::min<std::size_t>(
-                            config.warmupBranches, total);
-                        const PcIndex::RangeCounts counts =
-                            index.countRange(*packed, warmup, total);
-                        std::vector<std::uint64_t> misses(
-                            index.staticCount(), 0);
-                        const PerBranchProbe probe{index.idData(),
-                                                   misses.data()};
-                        result = replayKernel(*p, *packed, config, probe);
-                        result.perBranch = assemblePerBranch(
-                            index, counts, misses.data());
-                    } else {
-                        result = replayKernel(*p, *packed, config);
-                    }
-                    ran = true;
-                }
-            }
-        });
-        if (ran)
-            return result;
-    }
+    // A solo run is a one-lane bank, which replayKernelBank() hands
+    // to the single kernel with undivided timing.
+    std::vector<SimResult> results;
+    if (packed != nullptr &&
+        replayKernelBankAny({&predictor}, *packed, config, results))
+        return std::move(results.front());
     return simulate(predictor, trace, config);
 }
 

@@ -3,14 +3,15 @@
  * Replay-path dispatch: one entry point that picks the fastest
  * bit-identical way to run a predictor over a trace.
  *
- * simulateAny() routes a run to the devirtualized replay kernel
- * (sim/replay_kernel.hh) when the predictor's concrete type has one;
- * everything else falls back to the virtual simulate() loop. Runs
- * that ask for per-branch detail (SimConfig::trackPerBranch) take the
- * same kernel with a PerBranchProbe (sim/probe.hh) instead of being
- * forced onto the virtual path. Callers never need to know which path
- * was taken — results, including the per-branch table, are
- * bit-identical by contract.
+ * replayKernelBankAny() routes a group of same-type predictors to
+ * the devirtualized banked kernel (sim/replay_kernel.hh) through one
+ * registry fold; simulateAny() is its one-lane form, falling back to
+ * the virtual simulate() loop for kinds without a kernel. Runs that
+ * ask for per-branch detail (SimConfig::trackPerBranch) take the
+ * scalar kernels with a per-branch probe (sim/probe.hh) instead of
+ * being forced onto the virtual path. Callers never need to know
+ * which path was taken — results, including the per-branch table,
+ * are bit-identical by contract.
  *
  * The kind classification lives in core/factory
  * (hasFastReplay()); this dispatcher lives in sim because it depends
@@ -20,7 +21,6 @@
 #ifndef BPSIM_SIM_REPLAY_HH
 #define BPSIM_SIM_REPLAY_HH
 
-#include <string>
 #include <vector>
 
 #include "predictors/predictor.hh"
@@ -42,6 +42,9 @@ namespace bpsim
  * @param config simulation options; trackPerBranch runs the kernel
  *        with a per-branch probe and fills SimResult::perBranch
  *
+ * Equivalent to a one-lane replayKernelBankAny() when @p packed is
+ * set and the kind has a kernel, else to simulate().
+ *
  * @pre @p packed, when non-null, must be built from the same records
  *      @p trace yields — the dispatcher cannot check this.
  */
@@ -61,16 +64,17 @@ SimResult simulateAny(BranchPredictor &predictor, TraceReader &trace,
  * counts (with the shared-pass timing attribution described at
  * SimResult::wallNanos).
  *
- * @param kind the factory kind every instance was built from; must
- *        be a fastReplayKind() (core/factory.hh)
- * @param predictors the group, all non-null and all of @p kind
- * @return true when the bank ran; false when @p kind has no bank
- *         kernel or an instance is not of that concrete type — the
- *         group is then untouched and the caller falls back to
- *         per-instance simulateAny()
+ * The concrete type is that of predictors.front(); with
+ * SimConfig::trackPerBranch every lane also gets its per-branch table
+ * (the bank then runs the scalar kernels, kernelTier == Scalar).
+ *
+ * @param predictors the group, all non-null and of one concrete type
+ * @return true when the bank ran; false when the group is empty, the
+ *         first instance's type has no bank kernel, or another
+ *         instance is of a different type — the group is then
+ *         untouched and the caller falls back to the virtual loop
  */
-bool replayKernelBankAny(const std::string &kind,
-                         const std::vector<BranchPredictor *> &predictors,
+bool replayKernelBankAny(const std::vector<BranchPredictor *> &predictors,
                          const PackedTrace &packed,
                          const SimConfig &config,
                          std::vector<SimResult> &results);

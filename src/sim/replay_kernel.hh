@@ -140,6 +140,67 @@ replayKernel(Pred &predictor, const PackedTrace &packed,
     return result;
 }
 
+namespace detail
+{
+
+/**
+ * The vectorized leg of replayKernelBank(): flattens the bank into
+ * SoA lane state and steps 4/8/16 lanes per instruction (sim/simd/).
+ * Bit-identity with the scalar bank holds by construction — lanes
+ * are the vector axis, branches stay serial (see simd_kernel.hh) —
+ * and is enforced per tier by tests/sim/test_replay_bank.cc.
+ *
+ * @return false, with the bank untouched, when the tier resolves to
+ *         Scalar or the flattening cannot express the bank
+ *         (ineligible kind, oversize arena); the caller then runs the
+ *         scalar bank.
+ */
+template <typename Pred>
+bool
+replaySimdBank(std::vector<Pred> &bank, const PackedTrace &packed,
+               const SimConfig &config, std::vector<SimResult> &results)
+{
+    const KernelTier tier = resolveKernelTier(config.kernelTier);
+    if (tier == KernelTier::Scalar)
+        return false;
+    std::optional<SimdBankState> simd = buildSimdBank(bank);
+    if (!simd)
+        return false;
+
+    const std::size_t lanes = bank.size();
+    const std::size_t total = packed.size();
+    const std::size_t warmup = static_cast<std::size_t>(
+        std::min<std::uint64_t>(config.warmupBranches, total));
+    const auto start = std::chrono::steady_clock::now();
+    if (!runSimdBank(*simd, tier, packed.pcData(), packed.wordData(),
+                     total, warmup)) {
+        // The resolved tier has no backend in this binary (shouldn't
+        // happen — resolution checks availability); the scalar bank
+        // is always a correct answer.
+        logSimdBankFallback(bank.front().name(),
+                            "resolved tier has no backend in this binary");
+        return false;
+    }
+    const std::uint64_t nanos = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    storeSimdBank(*simd, bank);
+    const std::uint64_t taken_branches =
+        countTakenInRange(packed, warmup, total);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        results[l].branches = total - warmup;
+        results[l].mispredictions = simd->mispredictions[l];
+        results[l].takenBranches = taken_branches;
+        results[l].wallNanos = (nanos + lanes / 2) / lanes;
+        results[l].fusedLanes = static_cast<std::uint32_t>(lanes);
+        results[l].kernelTier = tier;
+    }
+    return true;
+}
+
+} // namespace detail
+
 /**
  * Banked multi-configuration replay: one trace pass drives a whole
  * vector of same-kind predictor instances.
@@ -169,11 +230,9 @@ replayKernel(Pred &predictor, const PackedTrace &packed,
  *
  * @tparam BankProbe per-lane accounting sink (sim/probe.hh); the
  *         default NullBankProbe instantiates the exact unprobed
- *         pass. Probed SIMD runs scatter-add into a per-lane uint32
- *         arena (SimdBankProbe) merged into the bank probe's uint64
- *         blocks after the pass; shapes the 32-bit sink cannot
- *         express run the probed scalar bank instead (logged once
- *         per process, detail::logProbedBankFallback()).
+ *         pass. Probed banks always run the scalar lanes below —
+ *         the reference every SIMD tier is checked against — and
+ *         report kernelTier == Scalar.
  */
 template <typename Pred, typename BankProbe = NullBankProbe>
 std::vector<SimResult>
@@ -202,99 +261,11 @@ replayKernelBank(std::vector<Pred> &bank, const PackedTrace &packed,
     const std::size_t warmup = static_cast<std::size_t>(
         std::min<std::uint64_t>(config.warmupBranches, total));
 
-    // Vectorized tiers: flatten the bank into SoA lane state and
-    // step 4/8/16 lanes per instruction (sim/simd/). Bit-identity
-    // with the scalar loop below holds by construction — lanes are
-    // the vector axis, branches stay serial (see simd_kernel.hh) —
-    // and is enforced per tier by tests/sim/test_replay_bank.cc.
-    // Banks the flattening cannot express (ineligible kind, oversize
-    // arena) fall through to the scalar loop.
-    const KernelTier tier = resolveKernelTier(config.kernelTier);
-    if (tier != KernelTier::Scalar) {
-        if (std::optional<SimdBankState> simd = buildSimdBank(bank)) {
-            // Probed runs need the per-lane uint32 misprediction
-            // arena on top of the counter arenas; shapes it cannot
-            // express (overlong trace, oversize probe arena) fall
-            // through to the probed scalar bank.
-            SimdBankProbe simdProbe;
-            SimdBankProbe *probePtr = nullptr;
-            bool probeReady = true;
-            if constexpr (BankProbe::kEnabled) {
-                if (buildSimdBankProbe(simdProbe, probe.ids,
-                                       probe.staticCount, *simd,
-                                       total)) {
-                    probePtr = &simdProbe;
-                } else {
-                    probeReady = false;
-                    detail::logProbedBankFallback(
-                        bank.front().name(),
-                        "per-branch probe arena exceeds the 32-bit "
-                        "sink");
-                }
-            }
-            const auto simd_start = std::chrono::steady_clock::now();
-            if (probeReady &&
-                runSimdBank(*simd, tier, pcs, packed.wordData(), total,
-                            warmup, probePtr)) {
-                const std::uint64_t simd_nanos =
-                    static_cast<std::uint64_t>(
-                        std::chrono::duration_cast<
-                            std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() -
-                            simd_start)
-                            .count());
-                storeSimdBank(*simd, bank);
-                if constexpr (BankProbe::kEnabled) {
-                    // Widen the pass's uint32 counters into the
-                    // probe's per-lane uint64 blocks.
-                    for (std::size_t l = 0; l < lanes; ++l) {
-                        const std::uint32_t *src =
-                            simdProbe.arena.data() +
-                            simdProbe.laneBase[l];
-                        std::uint64_t *dst =
-                            probe.lane(l).misses;
-                        for (std::size_t k = 0;
-                             k < simdProbe.staticCount; ++k)
-                            dst[k] += src[k];
-                    }
-                }
-                const std::uint64_t taken_branches =
-                    countTakenInRange(packed, warmup, total);
-                for (std::size_t l = 0; l < lanes; ++l) {
-                    results[l].branches = total - warmup;
-                    results[l].mispredictions =
-                        simd->mispredictions[l];
-                    results[l].takenBranches = taken_branches;
-                    results[l].wallNanos =
-                        (simd_nanos + lanes / 2) / lanes;
-                    results[l].fusedLanes =
-                        static_cast<std::uint32_t>(lanes);
-                    results[l].kernelTier = tier;
-                }
-                return results;
-            }
-            if (probeReady) {
-                // The resolved tier has no backend in this binary
-                // (shouldn't happen — resolution checks
-                // availability); the scalar loop below is always a
-                // correct answer.
-                detail::logSimdBankFallback(
-                    bank.front().name(),
-                    "resolved tier has no backend in this binary");
-                if constexpr (BankProbe::kEnabled) {
-                    detail::logProbedBankFallback(
-                        bank.front().name(),
-                        "resolved tier has no backend in this binary");
-                }
-            }
-        } else if constexpr (BankProbe::kEnabled) {
-            // buildSimdBank() already logged the generic fallback;
-            // mirror it on the probed channel so per-branch users
-            // see which path produced their counts.
-            detail::logProbedBankFallback(
-                bank.front().name(),
-                "bank shape has no SIMD flattening");
-        }
+    // Probed banks skip the vectorized tiers: per-branch counts come
+    // only from the scalar lanes below.
+    if constexpr (!BankProbe::kEnabled) {
+        if (detail::replaySimdBank(bank, packed, config, results))
+            return results;
     }
 
     Pred *lane = bank.data();
@@ -336,7 +307,6 @@ replayKernelBank(std::vector<Pred> &bank, const PackedTrace &packed,
     constexpr std::size_t kBlockWords = 8;
     constexpr std::size_t kBlockBranches =
         kBlockWords * PackedTrace::kWordBits;
-    std::uint64_t taken_branches = 0;
     while (i < total) {
         const std::size_t block_end =
             std::min(total, (i / kBlockBranches + 1) * kBlockBranches);
@@ -361,22 +331,6 @@ replayKernelBank(std::vector<Pred> &bank, const PackedTrace &packed,
             }
             mispredictions[l] += missed;
         }
-        // The block's taken count is lane-independent: popcount of
-        // the bitmap span actually consumed.
-        for (std::size_t j = i; j < block_end;) {
-            const std::size_t word_index = j / PackedTrace::kWordBits;
-            const std::size_t word_end = std::min(
-                block_end, (word_index + 1) * PackedTrace::kWordBits);
-            const std::uint64_t word = packed.takenWord(word_index) >>
-                                       (j % PackedTrace::kWordBits);
-            const std::size_t consumed = word_end - j;
-            const std::uint64_t mask =
-                consumed >= 64 ? ~std::uint64_t{0}
-                               : (std::uint64_t{1} << consumed) - 1;
-            taken_branches += static_cast<std::uint64_t>(
-                std::popcount(word & mask));
-            j = word_end;
-        }
         i = block_end;
     }
 
@@ -384,6 +338,10 @@ replayKernelBank(std::vector<Pred> &bank, const PackedTrace &packed,
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
+    // The taken count is lane-independent: one popcount of the
+    // measured bitmap span.
+    const std::uint64_t taken_branches =
+        countTakenInRange(packed, warmup, total);
     for (std::size_t l = 0; l < lanes; ++l) {
         results[l].branches = total - warmup;
         results[l].mispredictions = lane_mispredictions[l];

@@ -101,10 +101,9 @@ struct Avx2Backend
 void
 simdBankReplayAvx2(SimdBankState &state, const std::uint64_t *pcs,
                    const std::uint64_t *words, std::size_t total,
-                   std::size_t warmup, SimdBankProbe *probe)
+                   std::size_t warmup)
 {
-    dispatchSimdBankKernel<Avx2Backend>(state, pcs, words, total,
-                                        warmup, probe);
+    dispatchSimdBankKernel<Avx2Backend>(state, pcs, words, total, warmup);
 }
 
 } // namespace detail

@@ -116,10 +116,9 @@ struct Avx512Backend
 void
 simdBankReplayAvx512(SimdBankState &state, const std::uint64_t *pcs,
                      const std::uint64_t *words, std::size_t total,
-                     std::size_t warmup, SimdBankProbe *probe)
+                     std::size_t warmup)
 {
-    dispatchSimdBankKernel<Avx512Backend>(state, pcs, words, total,
-                                          warmup, probe);
+    dispatchSimdBankKernel<Avx512Backend>(state, pcs, words, total, warmup);
 }
 
 } // namespace detail

@@ -268,55 +268,7 @@ logSimdBankFallback(const std::string &what, const char *reason)
                  << " runs the scalar bank (" << reason << ")");
 }
 
-void
-logProbedBankFallback(const std::string &what, const char *reason)
-{
-    static std::mutex mutex;
-    static std::set<std::string> seen;
-    std::lock_guard<std::mutex> lock(mutex);
-    if (!seen.insert(what + '|' + reason).second)
-        return;
-    BPSIM_INFORM("probed bank fallback: per-branch replay of " << what
-                 << " runs the scalar bank (" << reason << ")");
-}
-
 } // namespace detail
-
-bool
-buildSimdBankProbe(SimdBankProbe &probe, const std::uint32_t *ids,
-                   std::size_t staticCount, const SimdBankState &state,
-                   std::size_t total)
-{
-    // A lane's counter for one branch accumulates at most the
-    // measured branch count; it must fit the 32-bit arena element.
-    if (static_cast<std::uint64_t>(total) >=
-        std::numeric_limits<std::uint32_t>::max()) {
-        return false;
-    }
-    const std::uint64_t block =
-        static_cast<std::uint64_t>(staticCount) + kSimdLaneStagger;
-    const std::uint64_t elements =
-        block * static_cast<std::uint64_t>(state.lanes);
-    if (elements > kMaxArenaElements)
-        return false;
-
-    probe.ids = ids;
-    probe.staticCount = staticCount;
-    probe.arena.assign(static_cast<std::size_t>(elements), 0);
-    probe.laneBase.assign(state.paddedLanes(), 0);
-    for (std::size_t l = 0; l < state.lanes; ++l) {
-        // The stagger gap precedes each block, mirroring
-        // appendCounters(): pc-indexed scatter-adds would otherwise
-        // collide at power-of-two page offsets across lanes.
-        probe.laneBase[l] = static_cast<std::uint32_t>(
-            block * l + kSimdLaneStagger);
-    }
-    // Padding lanes replicate lane 0 (gathers stay in valid memory,
-    // stores are masked off by the active count).
-    std::fill(probe.laneBase.begin() + state.lanes,
-              probe.laneBase.end(), probe.laneBase.front());
-    return true;
-}
 
 std::optional<SimdBankState>
 buildSimdBank(std::vector<BimodalPredictor> &bank)

@@ -380,68 +380,19 @@ storeSimdBank(const SimdBankState &, std::vector<Pred> &)
 }
 
 /**
- * Per-branch accounting sink of a probed SIMD replay (sim/probe.hh):
- * a per-lane uint32 misprediction counter block the kernels
- * scatter-add into with the same gather/scatter machinery as the
- * counter arenas.
- *
- * Layout mirrors SimdBankState::counters: lane l's staticCount
- * counters start at laneBase[l], each lane's block preceded by a
- * kSimdLaneStagger gap (the probe writes are pc-indexed like the
- * choice arenas, so the same 4K-aliasing hazard applies). laneBase
- * is padded to the widest backend group, with padding lanes
- * replicating lane 0 — their gathers stay in valid memory and their
- * results are masked off by scatter32's active count, exactly the
- * counter-arena convention.
- *
- * Counters are 32-bit (the gather/scatter element width);
- * buildSimdBankProbe() refuses traces long enough to overflow one,
- * and the caller merges the block into its per-lane uint64 totals
- * after the pass.
- */
-struct SimdBankProbe
-{
-    /** Per-record static-branch ids (PcIndex::idData()). */
-    const std::uint32_t *ids = nullptr;
-    /** Counters per lane block. */
-    std::size_t staticCount = 0;
-    /** Staggered lane-major counter blocks, zeroed at build. */
-    std::vector<std::uint32_t> arena;
-    /** Per-lane block offsets, padded like SimdBankState::laneBase. */
-    std::vector<std::uint32_t> laneBase;
-};
-
-/**
- * Sizes @p probe's arena for @p state's lane geometry. Returns false
- * — the caller then runs the probed scalar bank — when the arena
- * would exceed the 32-bit gather index space or @p total branches
- * could overflow a lane's uint32 counter.
- *
- * @param ids per-record ids for the replayed trace
- * @param staticCount distinct static branches (ids are < this)
- */
-bool buildSimdBankProbe(SimdBankProbe &probe, const std::uint32_t *ids,
-                        std::size_t staticCount,
-                        const SimdBankState &state, std::size_t total);
-
-/**
  * Replays @p total branches (of which the first @p warmup train
  * without being scored) through @p state on the backend for
  * @p tier.
  *
  * @param pcs the packed branch addresses
  * @param words the packed taken bitmap
- * @param probe per-branch accounting sink, or nullptr for the
- *        unprobed kernels (the probed instantiations are separate,
- *        so unprobed replays pay nothing for the hook)
  * @return false when @p tier has no backend in this binary (the
  *         caller falls back to the scalar bank); Scalar and Auto
  *         always return false — resolve the tier first.
  */
 bool runSimdBank(SimdBankState &state, KernelTier tier,
                  const std::uint64_t *pcs, const std::uint64_t *words,
-                 std::size_t total, std::size_t warmup,
-                 SimdBankProbe *probe = nullptr);
+                 std::size_t total, std::size_t warmup);
 
 namespace detail
 {
@@ -450,23 +401,13 @@ namespace detail
  *  compiled with that ISA's flags (see src/sim/CMakeLists.txt). */
 void simdBankReplayAvx2(SimdBankState &state, const std::uint64_t *pcs,
                         const std::uint64_t *words, std::size_t total,
-                        std::size_t warmup, SimdBankProbe *probe);
+                        std::size_t warmup);
 void simdBankReplayAvx512(SimdBankState &state, const std::uint64_t *pcs,
                           const std::uint64_t *words, std::size_t total,
-                          std::size_t warmup, SimdBankProbe *probe);
+                          std::size_t warmup);
 void simdBankReplayNeon(SimdBankState &state, const std::uint64_t *pcs,
                         const std::uint64_t *words, std::size_t total,
-                        std::size_t warmup, SimdBankProbe *probe);
-
-/**
- * Records (once per process per distinct what/reason pair, at
- * verbose/debug level) that a *probed* replay ran the scalar bank
- * although a SIMD tier was resolved — the probed mirror of
- * logSimdBankFallback(), so per-branch analysis users know which
- * path produced their counts (the counts are bit-identical either
- * way; only throughput differs).
- */
-void logProbedBankFallback(const std::string &what, const char *reason);
+                        std::size_t warmup);
 
 } // namespace detail
 

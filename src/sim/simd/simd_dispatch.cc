@@ -16,26 +16,22 @@ namespace bpsim
 bool
 runSimdBank(SimdBankState &state, KernelTier tier,
             const std::uint64_t *pcs, const std::uint64_t *words,
-            std::size_t total, std::size_t warmup,
-            SimdBankProbe *probe)
+            std::size_t total, std::size_t warmup)
 {
     switch (tier) {
 #if defined(BPSIM_HAVE_AVX512)
       case KernelTier::AVX512:
-        detail::simdBankReplayAvx512(state, pcs, words, total, warmup,
-                                     probe);
+        detail::simdBankReplayAvx512(state, pcs, words, total, warmup);
         return true;
 #endif
 #if defined(BPSIM_HAVE_AVX2)
       case KernelTier::AVX2:
-        detail::simdBankReplayAvx2(state, pcs, words, total, warmup,
-                                   probe);
+        detail::simdBankReplayAvx2(state, pcs, words, total, warmup);
         return true;
 #endif
 #if defined(BPSIM_HAVE_NEON)
       case KernelTier::NEON:
-        detail::simdBankReplayNeon(state, pcs, words, total, warmup,
-                                   probe);
+        detail::simdBankReplayNeon(state, pcs, words, total, warmup);
         return true;
 #endif
       default:

@@ -103,20 +103,13 @@ stepSaturating(typename B::V counter, typename B::V maxValue,
  *                     SimdBankState::packed); false runs the
  *                     one-counter-per-word layout without the slot
  *                     math
- * @tparam Probed      per-branch accounting (sim/probe.hh): the
- *                     scored region gather/scatter-adds each lane's
- *                     misprediction into @p probe's uint32 block at
- *                     the branch's static id — a fourth (or fifth)
- *                     arena the existing machinery already handles.
- *                     Off, @p probe is ignored and the instantiation
- *                     is the exact unprobed kernel.
  */
 template <typename B, SimdChoiceKind Choice, bool BothBanks,
-          bool LocalHistory, bool Packed, bool Probed>
+          bool LocalHistory, bool Packed>
 void
 runSimdBankKernel(SimdBankState &state, const std::uint64_t *pcs,
                   const std::uint64_t *words, std::size_t total,
-                  std::size_t warmup, SimdBankProbe *probe)
+                  std::size_t warmup)
 {
     using V = typename B::V;
 
@@ -126,12 +119,6 @@ runSimdBankKernel(SimdBankState &state, const std::uint64_t *pcs,
         state.localHist.empty() ? nullptr : state.localHist.data();
     std::uint32_t *choiceArena =
         state.choiceArena.empty() ? nullptr : state.choiceArena.data();
-    [[maybe_unused]] std::uint32_t *probeArena = nullptr;
-    [[maybe_unused]] const std::uint32_t *probeIds = nullptr;
-    if constexpr (Probed) {
-        probeArena = probe->arena.data();
-        probeIds = probe->ids;
-    }
     // Uniform gskew fold trip count (max over lanes; narrow lanes
     // fold zero chunks on their extra rounds, a no-op).
     [[maybe_unused]] const std::uint32_t foldRounds = state.foldRounds;
@@ -203,9 +190,6 @@ runSimdBankKernel(SimdBankState &state, const std::uint64_t *pcs,
                 B::load(&state.hashFieldMask[g0]);
             [[maybe_unused]] const V foldShift =
                 B::load(&state.foldShift[g0]);
-            [[maybe_unused]] V probeBase{};
-            if constexpr (Probed)
-                probeBase = B::load(&probe->laneBase[g0]);
             const V one = B::bcast(1);
             const V zero = B::zero();
             [[maybe_unused]] const V two = B::bcast(2);
@@ -699,17 +683,6 @@ runSimdBankKernel(SimdBankState &state, const std::uint64_t *pcs,
                     // a mispredicting lane; subtracting adds 1.
                     const V mispredM = B::xor_(predicted, takenM);
                     misses = B::sub(misses, mispredM);
-                    if constexpr (Probed) {
-                        // Same trick per static branch: every lane's
-                        // counter for this branch's id lives at a
-                        // disjoint offset, so the RMW cannot collide
-                        // within the group.
-                        const V pOff = B::add(
-                            probeBase, B::bcast(probeIds[j]));
-                        const V cnt = B::gather32(probeArena, pOff);
-                        B::scatter32(probeArena, pOff,
-                                     B::sub(cnt, mispredM), active);
-                    }
                 }
 
                 const V takenBit = B::and_(takenM, one);
@@ -735,29 +708,6 @@ runSimdBankKernel(SimdBankState &state, const std::uint64_t *pcs,
     }
 }
 
-/** Selects the probed or unprobed instantiation of one kernel shape
- *  at runtime. Probing doubles the instantiation count per backend;
- *  keeping the variants separate (rather than branching on a null
- *  probe inside the loop) is what keeps the unprobed kernels'
- *  codegen untouched. */
-template <typename B, SimdChoiceKind Choice, bool BothBanks,
-          bool LocalHistory, bool Packed>
-inline void
-runMaybeProbed(SimdBankState &state, const std::uint64_t *pcs,
-               const std::uint64_t *words, std::size_t total,
-               std::size_t warmup, SimdBankProbe *probe)
-{
-    if (probe != nullptr) {
-        runSimdBankKernel<B, Choice, BothBanks, LocalHistory, Packed,
-                          true>(state, pcs, words, total, warmup,
-                                probe);
-    } else {
-        runSimdBankKernel<B, Choice, BothBanks, LocalHistory, Packed,
-                          false>(state, pcs, words, total, warmup,
-                                 nullptr);
-    }
-}
-
 /** Instantiates the kernel matching @p state's choice, history and
  *  packing flavors for backend @p B — the shared dispatch of every
  *  per-ISA entry point. Only the combinations a builder can produce
@@ -767,60 +717,58 @@ template <typename B>
 void
 dispatchSimdBankKernel(SimdBankState &state, const std::uint64_t *pcs,
                        const std::uint64_t *words, std::size_t total,
-                       std::size_t warmup, SimdBankProbe *probe)
+                       std::size_t warmup)
 {
     constexpr auto kNone = SimdChoiceKind::None;
     switch (state.choiceKind) {
       case SimdChoiceKind::BiMode:
         if (state.updateBothBanks) {
-            runMaybeProbed<B, SimdChoiceKind::BiMode, true, false,
-                           true>(state, pcs, words, total, warmup,
-                                 probe);
+            runSimdBankKernel<B, SimdChoiceKind::BiMode, true, false,
+                              true>(state, pcs, words, total, warmup);
         } else {
-            runMaybeProbed<B, SimdChoiceKind::BiMode, false, false,
-                           true>(state, pcs, words, total, warmup,
-                                 probe);
+            runSimdBankKernel<B, SimdChoiceKind::BiMode, false, false,
+                              true>(state, pcs, words, total, warmup);
         }
         return;
       case SimdChoiceKind::Agree:
-        runMaybeProbed<B, SimdChoiceKind::Agree, false, false, true>(
-            state, pcs, words, total, warmup, probe);
+        runSimdBankKernel<B, SimdChoiceKind::Agree, false, false, true>(
+            state, pcs, words, total, warmup);
         return;
       case SimdChoiceKind::Tournament:
-        runMaybeProbed<B, SimdChoiceKind::Tournament, false, false,
-                       true>(state, pcs, words, total, warmup, probe);
+        runSimdBankKernel<B, SimdChoiceKind::Tournament, false, false,
+                          true>(state, pcs, words, total, warmup);
         return;
       case SimdChoiceKind::Gskew:
-        runMaybeProbed<B, SimdChoiceKind::Gskew, false, false, true>(
-            state, pcs, words, total, warmup, probe);
+        runSimdBankKernel<B, SimdChoiceKind::Gskew, false, false, true>(
+            state, pcs, words, total, warmup);
         return;
       case SimdChoiceKind::Yags:
         // Yags is the one unpacked multi-read kind: each cache entry
         // is a whole valid/tag/counter word.
-        runMaybeProbed<B, SimdChoiceKind::Yags, false, false, false>(
-            state, pcs, words, total, warmup, probe);
+        runSimdBankKernel<B, SimdChoiceKind::Yags, false, false, false>(
+            state, pcs, words, total, warmup);
         return;
       case SimdChoiceKind::Filter:
-        runMaybeProbed<B, SimdChoiceKind::Filter, false, false, true>(
-            state, pcs, words, total, warmup, probe);
+        runSimdBankKernel<B, SimdChoiceKind::Filter, false, false, true>(
+            state, pcs, words, total, warmup);
         return;
       case SimdChoiceKind::None:
         break;
     }
     if (state.localHistory) {
         if (state.packed) {
-            runMaybeProbed<B, kNone, false, true, true>(
-                state, pcs, words, total, warmup, probe);
+            runSimdBankKernel<B, kNone, false, true, true>(
+                state, pcs, words, total, warmup);
         } else {
-            runMaybeProbed<B, kNone, false, true, false>(
-                state, pcs, words, total, warmup, probe);
+            runSimdBankKernel<B, kNone, false, true, false>(
+                state, pcs, words, total, warmup);
         }
     } else if (state.packed) {
-        runMaybeProbed<B, kNone, false, false, true>(
-            state, pcs, words, total, warmup, probe);
+        runSimdBankKernel<B, kNone, false, false, true>(
+            state, pcs, words, total, warmup);
     } else {
-        runMaybeProbed<B, kNone, false, false, false>(
-            state, pcs, words, total, warmup, probe);
+        runSimdBankKernel<B, kNone, false, false, false>(
+            state, pcs, words, total, warmup);
     }
 }
 

@@ -104,10 +104,9 @@ struct NeonBackend
 void
 simdBankReplayNeon(SimdBankState &state, const std::uint64_t *pcs,
                    const std::uint64_t *words, std::size_t total,
-                   std::size_t warmup, SimdBankProbe *probe)
+                   std::size_t warmup)
 {
-    dispatchSimdBankKernel<NeonBackend>(state, pcs, words, total,
-                                        warmup, probe);
+    dispatchSimdBankKernel<NeonBackend>(state, pcs, words, total, warmup);
 }
 
 } // namespace detail

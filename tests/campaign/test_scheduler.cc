@@ -13,6 +13,8 @@
 
 #include "campaign/campaign.hh"
 #include "campaign/scheduler.hh"
+#include "core/factory.hh"
+#include "sim/simulator.hh"
 #include "trace/packed_trace.hh"
 #include "util/random.hh"
 
@@ -297,6 +299,42 @@ TEST(CampaignScheduler, PausedSubmissionsFuseAcrossSubmitters)
             EXPECT_EQ(fused.result.takenBranches,
                       solo.result.takenBranches);
         }
+    }
+}
+
+TEST(CampaignScheduler, UnfusedFastKindsStillRunTheSoloKernel)
+{
+    // With fusion off every batch is a batch of one: fast kinds over
+    // a packed trace take the solo kernel (timed alone), the others
+    // the virtual loop, all with the virtual loop's counts.
+    const MemoryTrace trace = mixedTrace(20'000, 5);
+    const PackedTrace packed(trace);
+    const std::vector<std::string> configs = {
+        "gshare:n=8", "gshare:n=9", "bimode:d=7", "perceptron:n=5,h=12"};
+    CampaignScheduler scheduler(
+        CampaignScheduler::Options{2, false, 0, true});
+    Sink sink;
+    std::map<CampaignScheduler::Ticket, std::string> configOf;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const auto ticket = scheduler.submit(
+            makeJob(i, configs[i], "bench", trace, &packed), sink.fn());
+        ASSERT_TRUE(ticket.has_value());
+        configOf[*ticket] = configs[i];
+    }
+    scheduler.drain();
+    EXPECT_EQ(scheduler.stats().fusedBanks, 0u);
+    for (const auto &[ticket, config] : configOf) {
+        const JobResult &result = sink.results.at(ticket);
+        ASSERT_TRUE(result.ok()) << config << ": " << result.error;
+        EXPECT_EQ(result.result.fusedLanes, 0u) << config;
+        EXPECT_EQ(result.result.kernelTier, KernelTier::Scalar) << config;
+        PredictorPtr oracle = makePredictor(config);
+        auto reader = trace.reader();
+        const SimResult expected = simulate(*oracle, reader);
+        EXPECT_EQ(result.result.mispredictions, expected.mispredictions)
+            << config;
+        EXPECT_EQ(result.result.takenBranches, expected.takenBranches)
+            << config;
     }
 }
 

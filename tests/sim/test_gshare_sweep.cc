@@ -111,11 +111,9 @@ TEST(GshareSweep, ParallelMatchesSerialBitForBit)
     const MemoryTrace a = aliasHeavyTrace(20'000);
     const MemoryTrace b = alternatingTrace(4'000);
 
-    setDefaultWorkerCount(1);
-    const auto serial = sweepGshare(6, std::vector<const MemoryTrace *>{&a, &b});
-    setDefaultWorkerCount(4);
-    const auto parallel = sweepGshare(6, std::vector<const MemoryTrace *>{&a, &b});
-    setDefaultWorkerCount(0);
+    const std::vector<const MemoryTrace *> traces = {&a, &b};
+    const auto serial = sweepGshare(6, traces, 0, 1);
+    const auto parallel = sweepGshare(6, traces, 0, 4);
 
     ASSERT_EQ(serial.points.size(), parallel.points.size());
     for (std::size_t i = 0; i < serial.points.size(); ++i) {

@@ -1,9 +1,9 @@
 /** @file Per-branch accounting probe tests.
  *
  * The probe contract (sim/probe.hh): a probed replay produces, on
- * every kernel path — solo, scalar bank, every available SIMD tier —
- * exactly the per-branch table the virtual simulate() loop produces,
- * while the aggregate counts stay bit-identical to an unprobed run.
+ * every kernel path — solo and scalar bank, whatever tier is asked
+ * for — exactly the per-branch table the virtual simulate() loop
+ * produces, while the aggregate counts stay bit-identical to an unprobed run.
  * PcIndex supplies the trace-side columns (executions, taken) that
  * probes deliberately do not accumulate.
  */
@@ -224,9 +224,10 @@ TEST(Probe, AllWarmupLeavesEmptyTable)
 
 /**
  * The tier matrix of the probe layer: banked probed replay at every
- * lane count straddling the vector widths, on every tier this binary
- * can run, must reproduce the virtual loop's per-branch table for
- * every lane. Lanes use distinct configs so a cross-lane counter mixup
+ * lane count straddling the vector widths, asked for on every tier
+ * this binary can run, must reproduce the virtual loop's per-branch
+ * table for every lane and report the scalar kernels that produced
+ * it. Lanes use distinct configs so a cross-lane counter mixup
  * cannot cancel out.
  */
 TEST(Probe, BankMatchesVirtualLoopAcrossTiers)
@@ -267,9 +268,8 @@ TEST(Probe, BankMatchesVirtualLoopAcrossTiers)
             SimConfig tierConfig = simConfig;
             tierConfig.kernelTier = tier;
             std::vector<SimResult> results;
-            ASSERT_TRUE(replayKernelBankAny("gshare", bank,
-                                            sharedPacked(), tierConfig,
-                                            results));
+            ASSERT_TRUE(replayKernelBankAny(bank, sharedPacked(),
+                                            tierConfig, results));
             ASSERT_EQ(results.size(), lanes);
             for (std::size_t l = 0; l < lanes; ++l) {
                 const std::string where =
@@ -281,6 +281,13 @@ TEST(Probe, BankMatchesVirtualLoopAcrossTiers)
                     << where;
                 expectSamePerBranch(results[l].perBranch,
                                     oracle[l].perBranch, where);
+                // Per-branch counts come only from the scalar
+                // kernels, whatever tier was asked for; a wider bank
+                // still runs fused.
+                EXPECT_EQ(results[l].kernelTier, KernelTier::Scalar)
+                    << where;
+                EXPECT_EQ(results[l].fusedLanes, lanes >= 2 ? lanes : 0)
+                    << where;
             }
         }
     }

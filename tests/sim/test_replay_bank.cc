@@ -131,7 +131,6 @@ class BankEquivalence
 
 TEST_P(BankEquivalence, CountsAndStateMatchSoloKernel)
 {
-    const std::string &kind = GetParam().first;
     const std::vector<std::string> &configs = GetParam().second;
 
     std::vector<PredictorPtr> banked;
@@ -150,8 +149,8 @@ TEST_P(BankEquivalence, CountsAndStateMatchSoloKernel)
     // moved every lane's state back bit-identically.
     for (int pass = 1; pass <= 2; ++pass) {
         std::vector<SimResult> fused;
-        ASSERT_TRUE(replayKernelBankAny(kind, bank, sharedPacked(),
-                                        sim_config, fused));
+        ASSERT_TRUE(
+            replayKernelBankAny(bank, sharedPacked(), sim_config, fused));
         ASSERT_EQ(fused.size(), configs.size());
 
         for (std::size_t l = 0; l < configs.size(); ++l) {
@@ -174,7 +173,6 @@ TEST_P(BankEquivalence, CountsAndStateMatchSoloKernel)
 
 TEST_P(BankEquivalence, FusedTimingAttribution)
 {
-    const std::string &kind = GetParam().first;
     const std::vector<std::string> &configs = GetParam().second;
 
     std::vector<PredictorPtr> owned;
@@ -185,13 +183,60 @@ TEST_P(BankEquivalence, FusedTimingAttribution)
     }
 
     std::vector<SimResult> fused;
-    ASSERT_TRUE(replayKernelBankAny(kind, bank, sharedPacked(), {},
-                                    fused));
+    ASSERT_TRUE(replayKernelBankAny(bank, sharedPacked(), {}, fused));
     for (const SimResult &result : fused) {
         // Every lane shared one pass of `lanes` width and reports an
         // equal share of its wall time.
         EXPECT_EQ(result.fusedLanes, configs.size());
         EXPECT_EQ(result.wallNanos, fused.front().wallNanos);
+    }
+}
+
+/**
+ * simulateAny() is a one-lane replayKernelBankAny(): for the first
+ * config of each kind, both produce the same counts and per-branch
+ * rows, leave the predictor in the same state (two passes, no
+ * reset), and report a run timed alone.
+ */
+TEST_P(BankEquivalence, SimulateAnyIsAOneLaneBank)
+{
+    const std::string &config = GetParam().second.front();
+    PredictorPtr viaBank = makePredictor(config);
+    PredictorPtr viaSolo = makePredictor(config);
+    const std::vector<BranchPredictor *> bank = {viaBank.get()};
+
+    SimConfig sim_config;
+    sim_config.warmupBranches = 500;
+    sim_config.trackPerBranch = true;
+    for (int pass = 1; pass <= 2; ++pass) {
+        const std::string where = config + " pass " + std::to_string(pass);
+        std::vector<SimResult> banked;
+        ASSERT_TRUE(
+            replayKernelBankAny(bank, sharedPacked(), sim_config, banked));
+        ASSERT_EQ(banked.size(), 1u);
+        auto reader = sharedTrace().reader();
+        const SimResult solo =
+            simulateAny(*viaSolo, reader, &sharedPacked(), sim_config);
+
+        EXPECT_EQ(banked[0].branches, solo.branches) << where;
+        EXPECT_EQ(banked[0].mispredictions, solo.mispredictions) << where;
+        EXPECT_EQ(banked[0].takenBranches, solo.takenBranches) << where;
+        EXPECT_EQ(banked[0].fusedLanes, 0u) << where;
+        EXPECT_EQ(solo.fusedLanes, 0u) << where;
+        ASSERT_FALSE(solo.perBranch.empty()) << where;
+        ASSERT_EQ(banked[0].perBranch.size(), solo.perBranch.size())
+            << where;
+        for (std::size_t i = 0; i < solo.perBranch.size(); ++i) {
+            const PerBranchResult &got = banked[0].perBranch[i];
+            const PerBranchResult &want = solo.perBranch[i];
+            EXPECT_EQ(got.pc, want.pc) << where << " row " << i;
+            EXPECT_EQ(got.executions, want.executions)
+                << where << " row " << i;
+            EXPECT_EQ(got.mispredictions, want.mispredictions)
+                << where << " row " << i;
+            EXPECT_EQ(got.takenCount, want.takenCount)
+                << where << " row " << i;
+        }
     }
 }
 
@@ -248,8 +293,8 @@ runTierPasses(const std::string &kind,
 
     std::array<std::vector<SimResult>, 2> passes;
     for (auto &results : passes) {
-        EXPECT_TRUE(replayKernelBankAny(kind, bank, sharedPacked(),
-                                        config, results))
+        EXPECT_TRUE(
+            replayKernelBankAny(bank, sharedPacked(), config, results))
             << kind << " lanes=" << lanes << " tier="
             << kernelTierName(tier);
     }
@@ -329,8 +374,7 @@ TEST(BankKernel, SingleLaneIsTimedAlone)
     PredictorPtr predictor = makePredictor("gshare:n=8");
     std::vector<BranchPredictor *> bank = {predictor.get()};
     std::vector<SimResult> results;
-    ASSERT_TRUE(replayKernelBankAny("gshare", bank, sharedPacked(), {},
-                                    results));
+    ASSERT_TRUE(replayKernelBankAny(bank, sharedPacked(), {}, results));
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].fusedLanes, 0u);
     EXPECT_GT(results[0].wallNanos, 0u);
@@ -341,9 +385,9 @@ TEST(BankKernel, RefusesUnknownKindUntouched)
     PredictorPtr predictor = makePredictor("perceptron:n=5,h=12");
     std::vector<BranchPredictor *> bank = {predictor.get()};
     std::vector<SimResult> results;
-    EXPECT_FALSE(replayKernelBankAny("perceptron", bank, sharedPacked(),
-                                     {}, results));
+    EXPECT_FALSE(replayKernelBankAny(bank, sharedPacked(), {}, results));
     EXPECT_TRUE(results.empty());
+    EXPECT_FALSE(replayKernelBankAny({}, sharedPacked(), {}, results));
 }
 
 TEST(BankKernel, RefusesMixedGroupWithoutDisturbingState)
@@ -354,8 +398,7 @@ TEST(BankKernel, RefusesMixedGroupWithoutDisturbingState)
     std::vector<BranchPredictor *> bank = {gshare_a.get(),
                                            bimode.get()};
     std::vector<SimResult> results;
-    EXPECT_FALSE(replayKernelBankAny("gshare", bank, sharedPacked(), {},
-                                     results));
+    EXPECT_FALSE(replayKernelBankAny(bank, sharedPacked(), {}, results));
 
     // The refused instance must still behave like an untouched one.
     auto reader_a = sharedTrace().reader();
