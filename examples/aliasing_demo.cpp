@@ -40,16 +40,18 @@ demoGshare()
         for (const auto &[pc, outcome, label] :
              {std::tuple{kTakenPc, true, "A(T)"},
               std::tuple{kNotTakenPc, false, "B(N)"}}) {
-            const PredictionDetail detail = gshare.predictDetailed(pc);
-            const bool hit = detail.taken == outcome;
+            // stepFast() predicts, trains, and reports the serving
+            // counter to the hook.
+            LastCounterHook served;
+            const bool predicted = gshare.stepFast(pc, outcome, served);
+            const bool hit = predicted == outcome;
             wrong += !hit;
             std::printf("%-6d %-10s %-9llu %-10s %-8s %s\n", round,
                         label,
-                        static_cast<unsigned long long>(detail.counterId),
-                        detail.taken ? "taken" : "not-taken",
+                        static_cast<unsigned long long>(served.id),
+                        predicted ? "taken" : "not-taken",
                         outcome ? "taken" : "not-taken",
                         hit ? "ok" : "MISS");
-            gshare.update(pc, outcome);
         }
     }
     std::cout << "\ngshare mispredictions: " << wrong << "/12 — the "
@@ -82,17 +84,20 @@ demoBiMode()
         for (const auto &[pc, outcome, label] :
              {std::tuple{kTakenPc, true, "A(T)"},
               std::tuple{kNotTakenPc, false, "B(N)"}}) {
-            const PredictionDetail detail = bimode.predictDetailed(pc);
-            const bool hit = detail.taken == outcome;
+            // Counter ids are bank-major: the bank is the id's bits
+            // above the direction index.
+            LastCounterHook served;
+            const bool predicted = bimode.stepFast(pc, outcome, served);
+            const bool hit = predicted == outcome;
             wrong += !hit;
             std::printf("%-6d %-10s %-14s %-10s %-8s %s\n", round,
                         label,
-                        detail.bank == BiModePredictor::kTakenBank
+                        served.id >> cfg.directionIndexBits ==
+                                BiModePredictor::kTakenBank
                             ? "taken-bank" : "not-taken-bank",
-                        detail.taken ? "taken" : "not-taken",
+                        predicted ? "taken" : "not-taken",
                         outcome ? "taken" : "not-taken",
                         hit ? "ok" : "MISS");
-            bimode.update(pc, outcome);
         }
     }
     std::cout << "\nbi-mode mispredictions: " << wrong

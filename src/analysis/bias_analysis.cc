@@ -1,5 +1,6 @@
 #include "analysis/bias_analysis.hh"
 
+#include "analysis/counter_replay.hh"
 #include "util/logging.hh"
 
 namespace bpsim
@@ -9,9 +10,9 @@ BiasAnalysis::BiasAnalysis(BranchPredictor &predictor, TraceReader &trace,
                            double threshold)
     : predictor(predictor), trace(trace), threshold(threshold)
 {
-    if (predictor.directionCounters() == 0)
-        BPSIM_FATAL("bias analysis requires a predictor that exposes "
-                    "direction counters ("
+    if (!visitFastPredictor(predictor, [](auto &) {}))
+        BPSIM_FATAL("bias analysis requires a predictor whose fast core "
+                    "reports direction counters ("
                     << predictor.name() << " exposes none)");
 }
 
@@ -21,30 +22,12 @@ BiasAnalysis::run()
     if (ran)
         return;
 
-    predictor.reset();
-    trace.rewind();
-    simResult = SimResult{};
-    simResult.predictorName = predictor.name();
-    simResult.counterBits = predictor.counterBits();
-    simResult.storageBits = predictor.storageBits();
-
-    BranchRecord record;
-    while (trace.next(record)) {
-        if (!record.isConditional())
-            continue;
-        const PredictionDetail detail = predictor.predictDetailed(record.pc);
-        const bool mispredicted = detail.taken != record.taken;
-        ++simResult.branches;
-        if (record.taken)
-            ++simResult.takenBranches;
-        if (mispredicted)
-            ++simResult.mispredictions;
-        if (detail.usesCounter)
-            tracker.observe(record.pc, detail.counterId, record.taken,
-                            mispredicted);
-        predictor.observeTarget(record.pc, record.target);
-        predictor.update(record.pc, record.taken);
-    }
+    simResult = *replayCounters(
+        predictor, trace,
+        [&](std::uint64_t pc, bool taken, std::uint64_t counter,
+            bool mispredicted) {
+            tracker.observe(pc, counter, taken, mispredicted);
+        });
     ran = true;
 }
 
@@ -137,37 +120,28 @@ BiasAnalysis::countTransitions()
     };
 
     // Replay pass: the predictors are deterministic, so a reset +
-    // rewind reproduces the exact counter assignment sequence.
-    predictor.reset();
-    trace.rewind();
+    // replay reproduces the exact counter assignment sequence.
     TransitionCounts counts;
-    BranchRecord record;
-    while (trace.next(record)) {
-        if (!record.isConditional())
-            continue;
-        const PredictionDetail detail = predictor.predictDetailed(record.pc);
-        if (detail.usesCounter) {
-            const StreamStats *stream =
-                tracker.find(record.pc, detail.counterId);
-            if (!stream)
-                BPSIM_PANIC("replay diverged: unseen stream for pc 0x"
-                            << std::hex << record.pc);
-            const auto c = static_cast<std::size_t>(detail.counterId);
-            const Role role = role_of(stream->biasClass(threshold), c);
-            if (last[c] != Role::None && last[c] != role) {
-                // A run of last[c]'s class at this counter was broken.
-                switch (last[c]) {
-                  case Role::Dominant: ++counts.dominant; break;
-                  case Role::NonDominant: ++counts.nonDominant; break;
-                  case Role::Weak: ++counts.weak; break;
-                  case Role::None: break;
-                }
+    auto observe = [&](std::uint64_t pc, bool, std::uint64_t counter,
+                       bool) {
+        const StreamStats *stream = tracker.find(pc, counter);
+        if (!stream)
+            BPSIM_PANIC("replay diverged: unseen stream for pc 0x"
+                        << std::hex << pc);
+        const auto c = static_cast<std::size_t>(counter);
+        const Role role = role_of(stream->biasClass(threshold), c);
+        if (last[c] != Role::None && last[c] != role) {
+            // A run of last[c]'s class at this counter was broken.
+            switch (last[c]) {
+              case Role::Dominant: ++counts.dominant; break;
+              case Role::NonDominant: ++counts.nonDominant; break;
+              case Role::Weak: ++counts.weak; break;
+              case Role::None: break;
             }
-            last[c] = role;
         }
-        predictor.observeTarget(record.pc, record.target);
-        predictor.update(record.pc, record.taken);
-    }
+        last[c] = role;
+    };
+    replayCounters(predictor, trace, observe);
     return counts;
 }
 

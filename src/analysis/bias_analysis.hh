@@ -8,10 +8,14 @@
  *  - the misprediction breakdown by bias class (Figures 7/8),
  *  - the bias-class transition counts (Table 4).
  *
- * The transition count needs the classes — which are only known
- * after the whole run — so it replays the trace a second time
- * against a reset predictor (all predictors here are deterministic,
- * so the replay reproduces the same counter assignments).
+ * Both passes run the scalar replay kernel, reading each branch's
+ * serving counter off the predictor's counter hook
+ * (analysis/counter_replay.hh). The transition count needs the
+ * classes — which are only known after the whole run — so it replays
+ * the trace a second time against a reset predictor (all predictors
+ * here are deterministic, so the replay reproduces the same counter
+ * assignments). Predictors without a fast core (the static kinds,
+ * perceptron) report no counters and are refused.
  */
 
 #ifndef BPSIM_ANALYSIS_BIAS_ANALYSIS_HH
@@ -62,7 +66,8 @@ class BiasAnalysis
 {
   public:
     /**
-     * @param predictor analyzed predictor; reset before each pass
+     * @param predictor analyzed predictor with a fast core; reset
+     *        before each pass
      * @param trace trace to analyze; rewound before each pass
      * @param threshold bias-class threshold (paper: 0.9)
      */

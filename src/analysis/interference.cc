@@ -1,5 +1,7 @@
 #include "analysis/interference.hh"
 
+#include "analysis/counter_replay.hh"
+#include "analysis/stream_tracker.hh"
 #include "predictors/counter.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
@@ -34,46 +36,34 @@ InterferenceStats::neutralPercent() const
 InterferenceStats
 measureInterference(BranchPredictor &predictor, TraceReader &trace)
 {
-    if (predictor.directionCounters() == 0)
-        BPSIM_FATAL("interference analysis requires a predictor that "
-                    "exposes direction counters ("
-                    << predictor.name() << " exposes none)");
-
-    predictor.reset();
-    trace.rewind();
-
     // Who wrote each counter last (0 = nobody yet).
     std::unordered_map<std::uint64_t, std::uint64_t> last_writer;
     // Interference-free shadow counters per (branch, counter) pair,
     // packed values of 2-bit counters starting weakly-taken.
-    std::unordered_map<std::uint64_t, std::uint8_t> shadow;
+    std::unordered_map<StreamKey, std::uint8_t, StreamKeyHash> shadow;
     const std::uint8_t shadow_init = SaturatingCounter::weaklyTaken(2);
 
-    auto shadow_key = [](std::uint64_t pc, std::uint64_t counter) {
-        return (pc << 24) ^ counter;
-    };
-
     InterferenceStats stats;
-    BranchRecord record;
-    while (trace.next(record)) {
-        if (!record.isConditional())
-            continue;
-        const PredictionDetail detail =
-            predictor.predictDetailed(record.pc);
-        if (detail.usesCounter) {
-            auto [it, inserted] = shadow.emplace(
-                shadow_key(record.pc, detail.counterId), shadow_init);
+    const bool fast = replayCounters(
+        predictor, trace,
+        [&](std::uint64_t pc, bool taken, std::uint64_t counter,
+            bool mispredicted) {
+            // The shared counter's prediction, recovered from the
+            // outcome and whether the kernel saw it miss.
+            const bool shared_prediction = taken != mispredicted;
+            auto [it, inserted] =
+                shadow.emplace(StreamKey{pc, counter}, shadow_init);
             std::uint8_t &private_counter = it->second;
             const bool private_prediction = private_counter > 1;
 
-            auto writer_it = last_writer.find(detail.counterId);
+            auto writer_it = last_writer.find(counter);
             const bool aliased = writer_it != last_writer.end() &&
-                                 writer_it->second != record.pc;
+                                 writer_it->second != pc;
             if (!aliased) {
                 ++stats.unaliasedLookups;
-            } else if (detail.taken == private_prediction) {
+            } else if (shared_prediction == private_prediction) {
                 ++stats.neutral;
-            } else if (detail.taken == record.taken) {
+            } else if (!mispredicted) {
                 // The intruder's training flipped this lookup onto
                 // the right answer.
                 ++stats.constructive;
@@ -82,18 +72,19 @@ measureInterference(BranchPredictor &predictor, TraceReader &trace)
             }
 
             // Train the shadow with this branch's outcome only.
-            if (record.taken) {
+            if (taken) {
                 if (private_counter < 3)
                     ++private_counter;
             } else {
                 if (private_counter > 0)
                     --private_counter;
             }
-            last_writer[detail.counterId] = record.pc;
-        }
-        predictor.observeTarget(record.pc, record.target);
-        predictor.update(record.pc, record.taken);
-    }
+            last_writer[counter] = pc;
+        }).has_value();
+    if (!fast)
+        BPSIM_FATAL("interference analysis requires a predictor whose "
+                    "fast core reports direction counters ("
+                    << predictor.name() << " exposes none)");
     return stats;
 }
 

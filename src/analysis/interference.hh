@@ -63,14 +63,15 @@ struct InterferenceStats
 };
 
 /**
- * Runs @p predictor over @p trace (rewound first) while attributing
- * each counter-served lookup to the taxonomy above.
+ * Replays @p trace, packed, through @p predictor's fast core from
+ * power-on while attributing each lookup, by the serving counter the
+ * core's counter hook reports (sim/probe.hh), to the taxonomy above.
  *
  * The shadow state costs one 2-bit counter per live (branch,
  * counter) pair; for the table sizes in this project that is a few
  * hundred thousand entries at most.
  *
- * @param predictor a reset predictor exposing direction counters
+ * @param predictor a predictor with a fast core; reset first
  * @param trace the trace to measure
  */
 InterferenceStats measureInterference(BranchPredictor &predictor,

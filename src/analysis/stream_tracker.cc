@@ -6,8 +6,8 @@ namespace bpsim
 const StreamStats *
 StreamTracker::find(std::uint64_t pc, std::uint64_t counterId) const
 {
-    const auto it = streams.find(key(pc, counterId));
-    return it == streams.end() ? nullptr : &it->second;
+    const auto it = streams.find(StreamStats{{pc, counterId}});
+    return it == streams.end() ? nullptr : &*it;
 }
 
 std::vector<const StreamStats *>
@@ -15,7 +15,7 @@ StreamTracker::allStreams() const
 {
     std::vector<const StreamStats *> result;
     result.reserve(streams.size());
-    for (const auto &[k, stats] : streams)
+    for (const StreamStats &stats : streams)
         result.push_back(&stats);
     return result;
 }
@@ -24,7 +24,7 @@ std::vector<const StreamStats *>
 StreamTracker::streamsOfCounter(std::uint64_t counterId) const
 {
     std::vector<const StreamStats *> result;
-    for (const auto &[k, stats] : streams) {
+    for (const StreamStats &stats : streams) {
         if (stats.counterId == counterId)
             result.push_back(&stats);
     }

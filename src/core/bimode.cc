@@ -35,21 +35,6 @@ BiModePredictor::BiModePredictor(const BiModeConfig &config)
                     << cfg.directionIndexBits << " bits)");
 }
 
-PredictionDetail
-BiModePredictor::detailFast(std::uint64_t pc) const
-{
-    const bool choice_taken = choice.predictTaken(choiceIndexFor(pc));
-    const std::uint32_t bank = choice_taken ? kTakenBank : kNotTakenBank;
-    const std::size_t index = directionIndexFor(pc);
-    PredictionDetail detail;
-    detail.taken = banks[bank].predictTaken(index);
-    detail.usesCounter = true;
-    detail.bank = bank;
-    detail.counterId =
-        (static_cast<std::uint64_t>(bank) << cfg.directionIndexBits) | index;
-    return detail;
-}
-
 void
 BiModePredictor::resetFast()
 {

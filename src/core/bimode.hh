@@ -69,13 +69,13 @@ struct BiModeConfig
 class BiModePredictor : public FastPredictorBase<BiModePredictor>
 {
   public:
-    /** Bank identifiers as exposed in PredictionDetail::bank. */
+    /** Direction-bank identifiers; a counter id's bank is
+     *  id >> directionIndexBits. */
     static constexpr std::uint32_t kNotTakenBank = 0;
     static constexpr std::uint32_t kTakenBank = 1;
 
     explicit BiModePredictor(const BiModeConfig &config);
 
-    PredictionDetail detailFast(std::uint64_t pc) const;
     void resetFast();
     std::string name() const override;
     std::uint64_t storageBits() const override;
@@ -102,7 +102,7 @@ class BiModePredictor : public FastPredictorBase<BiModePredictor>
             pcIndexBits(pc, cfg.choiceIndexBits));
     }
 
-    /** Devirtualized hot path: == predictDetailed().taken. */
+    /** Devirtualized hot path: the direction of predict(). */
     bool
     predictFast(std::uint64_t pc) const
     {
@@ -117,16 +117,21 @@ class BiModePredictor : public FastPredictorBase<BiModePredictor>
      * Fused hot path: predict and update sharing one set of table
      * lookups. Returns the prediction predictFast() would have made
      * immediately before updateFast(); the state transition is
-     * identical to predict-then-update.
+     * identical to predict-then-update. @p hook hears the serving
+     * counter, bank-major: (bank << directionIndexBits) | index.
      */
+    template <typename Hook = NoCounterHook>
     bool
-    stepFast(std::uint64_t pc, bool taken)
+    stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})
     {
         std::size_t choice_index, index;
         indicesFor(pc, choice_index, index);
         const bool choice_taken = choice.predictTaken(choice_index);
         const std::uint32_t bank =
             choice_taken ? kTakenBank : kNotTakenBank;
+        hook.counter((static_cast<std::uint64_t>(bank)
+                      << cfg.directionIndexBits) |
+                     index);
         const bool prediction = banks[bank].predictTaken(index);
 
         // Direction banks: partial update — only the serving counter

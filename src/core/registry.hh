@@ -16,8 +16,9 @@
  * Every dispatch site in the system is a fold over this list:
  * core/factory.cc derives construction, parameter validation,
  * knownPredictorKinds(), hasFastReplay() and the grammar help text;
- * sim/replay.cc derives the typed kernel dispatch for both the solo
- * and the banked replay paths. Adding a predictor kind is therefore
+ * visitFastPredictor() below derives the typed kernel dispatch of
+ * sim/replay.cc and of the Section 4 analyses (analysis/). Adding a
+ * predictor kind is therefore
  * exactly two steps — give the type a fast core (or not) and append
  * one entry here — and the factory, the replay kernels, the campaign
  * fusion scheduler and the registry-driven tests all pick it up with
@@ -420,7 +421,7 @@ struct TournamentEntry
     static PredictorPtr
     build(const PredictorSpec &spec)
     {
-        return TournamentPredictor::makeStandard(
+        return std::make_unique<TournamentPredictor>(
             requireParam(spec, "n"));
     }
 };
@@ -513,6 +514,34 @@ void
 forEachPredictorEntry(F &&f)
 {
     PredictorRegistry::forEach(std::forward<F>(f));
+}
+
+/**
+ * Calls @p f with @p predictor as its concrete fast-core type — one
+ * dynamic_cast per registry entry with fastReplay, per call (not per
+ * branch). Entries sharing a C++ type (the two-level taxonomy kinds)
+ * resolve to the same instantiation; the first match wins.
+ *
+ * @return false, without calling @p f, when the predictor has no
+ *         fast core (the static kinds, perceptron)
+ */
+template <typename F>
+bool
+visitFastPredictor(BranchPredictor &predictor, F &&f)
+{
+    bool matched = false;
+    forEachPredictorEntry([&]<typename Entry>() {
+        if constexpr (Entry::fastReplay) {
+            using Pred = typename Entry::Predictor;
+            if (!matched) {
+                if (auto *typed = dynamic_cast<Pred *>(&predictor)) {
+                    matched = true;
+                    f(*typed);
+                }
+            }
+        }
+    });
+    return matched;
 }
 
 /** Comma-separated accepted-key list of an entry's schema. */

@@ -19,24 +19,6 @@ AgreePredictor::AgreePredictor(const AgreeConfig &config)
         BPSIM_FATAL("agree history cannot exceed the index width");
 }
 
-PredictionDetail
-AgreePredictor::detailFast(std::uint64_t pc) const
-{
-    const std::size_t bias_index = biasIndexFor(pc);
-    const std::size_t index = counterIndexFor(pc);
-    // An unseen branch has no bias yet; treat the bias as taken
-    // (matching the counters' weakly-taken start).
-    const bool bias = biasValid[bias_index] ? biasBit[bias_index] != 0
-                                            : true;
-    const bool agree = counters.predictTaken(index);
-    PredictionDetail detail;
-    detail.taken = agree == bias;
-    detail.usesCounter = true;
-    detail.bank = 0;
-    detail.counterId = index;
-    return detail;
-}
-
 void
 AgreePredictor::resetFast()
 {

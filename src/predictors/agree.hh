@@ -45,14 +45,13 @@ class AgreePredictor : public FastPredictorBase<AgreePredictor>
   public:
     explicit AgreePredictor(const AgreeConfig &config);
 
-    PredictionDetail detailFast(std::uint64_t pc) const;
     void resetFast();
     std::string name() const override;
     std::uint64_t storageBits() const override;
     std::uint64_t counterBits() const override;
     std::uint64_t directionCounters() const override;
 
-    /** Devirtualized hot path: == predictDetailed().taken. */
+    /** Devirtualized hot path: the direction of predict(). */
     bool
     predictFast(std::uint64_t pc) const
     {
@@ -83,12 +82,15 @@ class AgreePredictor : public FastPredictorBase<AgreePredictor>
      *  bit-identical to predictFast() then updateFast(). The
      *  prediction uses the pre-update bias (default taken for an
      *  unseen branch); the counter trains against the post-capture
-     *  bias, exactly as the split path does. */
+     *  bias, exactly as the split path does. Reports the agree
+     *  counter (its table index) to @p hook. */
+    template <typename Hook = NoCounterHook>
     bool
-    stepFast(std::uint64_t pc, bool taken)
+    stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})
     {
         const std::size_t bias_index = biasIndexFor(pc);
         const std::size_t index = counterIndexFor(pc);
+        hook.counter(index);
         const bool old_bias =
             biasValid[bias_index] ? biasBit[bias_index] != 0 : true;
         const bool prediction = counters.predictTaken(index) == old_bias;

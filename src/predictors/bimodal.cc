@@ -14,13 +14,6 @@ BimodalPredictor::BimodalPredictor(unsigned indexBits, unsigned counterWidth)
 {
 }
 
-PredictionDetail
-BimodalPredictor::detailFast(std::uint64_t pc) const
-{
-    const std::size_t index = indexFor(pc);
-    return PredictionDetail{counters.predictTaken(index), true, 0, index};
-}
-
 void
 BimodalPredictor::resetFast()
 {

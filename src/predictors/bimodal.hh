@@ -26,7 +26,6 @@ class BimodalPredictor : public FastPredictorBase<BimodalPredictor>
      */
     explicit BimodalPredictor(unsigned indexBits, unsigned counterWidth = 2);
 
-    PredictionDetail detailFast(std::uint64_t pc) const;
     void resetFast();
     std::string name() const override;
     std::uint64_t storageBits() const override;
@@ -41,9 +40,7 @@ class BimodalPredictor : public FastPredictorBase<BimodalPredictor>
 
     /**
      * Devirtualized hot path for the replay kernel: the direction of
-     * predictDetailed() without the analysis provenance. Must stay
-     * equal to predictDetailed().taken (the bit-identity contract of
-     * sim/replay_kernel.hh).
+     * predict(), which derives from it.
      */
     bool
     predictFast(std::uint64_t pc) const
@@ -59,11 +56,14 @@ class BimodalPredictor : public FastPredictorBase<BimodalPredictor>
     }
 
     /** Fused hot path: predict + update sharing one index/lookup;
-     *  bit-identical to predictFast() then updateFast(). */
+     *  bit-identical to predictFast() then updateFast(). Reports the
+     *  serving counter (its table index) to @p hook. */
+    template <typename Hook = NoCounterHook>
     bool
-    stepFast(std::uint64_t pc, bool taken)
+    stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})
     {
         const std::size_t index = indexFor(pc);
+        hook.counter(index);
         const bool prediction = counters.predictTaken(index);
         counters.update(index, taken);
         return prediction;

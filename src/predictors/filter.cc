@@ -31,28 +31,6 @@ FilterPredictor::isFiltered(std::uint64_t pc) const
     return filter[filterIndexFor(pc)].runLength == runSaturation;
 }
 
-PredictionDetail
-FilterPredictor::detailFast(std::uint64_t pc) const
-{
-    const std::size_t filter_index = filterIndexFor(pc);
-    const FilterEntry &entry = filter[filter_index];
-    PredictionDetail detail;
-    detail.usesCounter = true;
-    if (entry.runLength == runSaturation) {
-        // Saturated run: the per-branch direction predicts and the
-        // PHT is bypassed entirely.
-        detail.taken = entry.direction != 0;
-        detail.bank = kFilterBank;
-        detail.counterId = pht.size() + filter_index;
-    } else {
-        const std::size_t index = phtIndexFor(pc);
-        detail.taken = pht.predictTaken(index);
-        detail.bank = kPhtBank;
-        detail.counterId = index;
-    }
-    return detail;
-}
-
 void
 FilterPredictor::resetFast()
 {

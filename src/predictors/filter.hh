@@ -47,13 +47,8 @@ struct FilterConfig
 class FilterPredictor : public FastPredictorBase<FilterPredictor>
 {
   public:
-    /** Bank id reported when the filter served the prediction. */
-    static constexpr std::uint32_t kPhtBank = 0;
-    static constexpr std::uint32_t kFilterBank = 1;
-
     explicit FilterPredictor(const FilterConfig &config);
 
-    PredictionDetail detailFast(std::uint64_t pc) const;
     void resetFast();
     std::string name() const override;
     std::uint64_t storageBits() const override;
@@ -79,7 +74,7 @@ class FilterPredictor : public FastPredictorBase<FilterPredictor>
             pcIndexBits(pc, cfg.filterIndexBits));
     }
 
-    /** Devirtualized hot path: == predictDetailed().taken. */
+    /** Devirtualized hot path: the direction of predict(). */
     bool
     predictFast(std::uint64_t pc) const
     {
@@ -101,26 +96,32 @@ class FilterPredictor : public FastPredictorBase<FilterPredictor>
      * lookup and one PHT index; bit-identical to predictFast() then
      * updateFast(). A filtered branch bypasses the PHT on both
      * sides, so the fused path touches the PHT at most once.
+     * @p hook hears the PHT index, or pht.size() + the filter index
+     * when the filter served.
      */
+    template <typename Hook = NoCounterHook>
     bool
-    stepFast(std::uint64_t pc, bool taken)
+    stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})
     {
         // One shared word-address extraction feeds both table
         // indices: each is a mask (plus the PHT history xor) away,
         // instead of filterIndexFor/phtIndexFor re-deriving pc >> 2
         // for themselves.
         const std::uint64_t word = pc >> 2;
-        FilterEntry &entry = filter[static_cast<std::size_t>(
-            word & maskBits(cfg.filterIndexBits))];
+        const std::size_t filter_index =
+            static_cast<std::size_t>(word & maskBits(cfg.filterIndexBits));
+        FilterEntry &entry = filter[filter_index];
         const bool was_filtered = entry.runLength == runSaturation;
         bool prediction;
         if (was_filtered) {
+            hook.counter(pht.size() + filter_index);
             prediction = entry.direction != 0;
         } else {
             // Only unfiltered branches touch the PHT — that is the
             // whole interference-reduction mechanism.
             const std::size_t index = static_cast<std::size_t>(
                 (word & maskBits(cfg.indexBits)) ^ history.value());
+            hook.counter(index);
             prediction = pht.predictTaken(index);
             pht.update(index, taken);
         }

@@ -18,13 +18,6 @@ GsharePredictor::GsharePredictor(unsigned indexBits, unsigned historyBits,
                     << indexBits << " bits)");
 }
 
-PredictionDetail
-GsharePredictor::detailFast(std::uint64_t pc) const
-{
-    const std::size_t index = indexFor(pc);
-    return PredictionDetail{counters.predictTaken(index), true, 0, index};
-}
-
 void
 GsharePredictor::resetFast()
 {

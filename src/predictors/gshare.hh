@@ -37,7 +37,6 @@ class GsharePredictor : public FastPredictorBase<GsharePredictor>
     GsharePredictor(unsigned indexBits, unsigned historyBits,
                     unsigned counterWidth = 2);
 
-    PredictionDetail detailFast(std::uint64_t pc) const;
     void resetFast();
     std::string name() const override;
     std::uint64_t storageBits() const override;
@@ -54,7 +53,7 @@ class GsharePredictor : public FastPredictorBase<GsharePredictor>
         return static_cast<std::size_t>(address ^ history.value());
     }
 
-    /** Devirtualized hot path: == predictDetailed().taken. */
+    /** Devirtualized hot path: the direction of predict(). */
     bool
     predictFast(std::uint64_t pc) const
     {
@@ -70,11 +69,14 @@ class GsharePredictor : public FastPredictorBase<GsharePredictor>
     }
 
     /** Fused hot path: predict + update sharing one index/lookup;
-     *  bit-identical to predictFast() then updateFast(). */
+     *  bit-identical to predictFast() then updateFast(). Reports the
+     *  serving counter (its table index) to @p hook. */
+    template <typename Hook = NoCounterHook>
     bool
-    stepFast(std::uint64_t pc, bool taken)
+    stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})
     {
         const std::size_t index = indexFor(pc);
+        hook.counter(index);
         const bool prediction = counters.predictTaken(index);
         counters.update(index, taken);
         history.push(taken);

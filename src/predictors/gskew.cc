@@ -22,31 +22,6 @@ GskewPredictor::GskewPredictor(const GskewConfig &config)
 {
 }
 
-PredictionDetail
-GskewPredictor::detailFast(std::uint64_t pc) const
-{
-    int votes = 0;
-    std::size_t serving_index = 0;
-    std::uint32_t serving_bank = 0;
-    for (unsigned bank = 0; bank < 3; ++bank) {
-        const std::size_t index = indexFor(bank, pc);
-        if (banks[bank].predictTaken(index))
-            ++votes;
-        if (bank == 0) {
-            serving_index = index;
-            serving_bank = 0;
-        }
-    }
-    PredictionDetail detail;
-    detail.taken = votes >= 2;
-    // The vote has no single serving counter; report the bimodal
-    // bank's counter as the representative for analysis purposes.
-    detail.usesCounter = true;
-    detail.bank = serving_bank;
-    detail.counterId = serving_index;
-    return detail;
-}
-
 void
 GskewPredictor::resetFast()
 {

@@ -54,7 +54,6 @@ class GskewPredictor : public FastPredictorBase<GskewPredictor>
   public:
     explicit GskewPredictor(const GskewConfig &config);
 
-    PredictionDetail detailFast(std::uint64_t pc) const;
     void resetFast();
     std::string name() const override;
     std::uint64_t storageBits() const override;
@@ -73,7 +72,7 @@ class GskewPredictor : public FastPredictorBase<GskewPredictor>
             bankHash(bank, address, history.value(), cfg.bankIndexBits));
     }
 
-    /** Devirtualized hot path: == predictDetailed().taken. */
+    /** Devirtualized hot path: the direction of predict(). */
     bool
     predictFast(std::uint64_t pc) const
     {
@@ -87,12 +86,16 @@ class GskewPredictor : public FastPredictorBase<GskewPredictor>
 
     /** Fused hot path: predict + update sharing one set of bank
      *  hashes and lookups; bit-identical to predictFast() then
-     *  updateFast(). */
+     *  updateFast(). The vote has no single serving counter: @p hook
+     *  hears bank 0's (the address-indexed bank) as the
+     *  representative. */
+    template <typename Hook = NoCounterHook>
     bool
-    stepFast(std::uint64_t pc, bool taken)
+    stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})
     {
         std::size_t indices[3];
         indicesFor(pc, indices);
+        hook.counter(indices[0]);
         const bool vote0 = banks[0].predictTaken(indices[0]);
         const bool vote1 = banks[1].predictTaken(indices[1]);
         const bool vote2 = banks[2].predictTaken(indices[2]);

@@ -51,15 +51,10 @@ PerceptronPredictor::outputFor(std::uint64_t pc) const
     return y;
 }
 
-PredictionDetail
-PerceptronPredictor::predictDetailed(std::uint64_t pc) const
+bool
+PerceptronPredictor::predict(std::uint64_t pc) const
 {
-    PredictionDetail detail;
-    detail.taken = outputFor(pc) >= 0;
-    detail.usesCounter = true;
-    detail.bank = 0;
-    detail.counterId = indexFor(pc);
-    return detail;
+    return outputFor(pc) >= 0;
 }
 
 void

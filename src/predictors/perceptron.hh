@@ -46,15 +46,16 @@ class PerceptronPredictor : public BranchPredictor
   public:
     explicit PerceptronPredictor(const PerceptronConfig &config);
 
-    PredictionDetail predictDetailed(std::uint64_t pc) const override;
+    bool predict(std::uint64_t pc) const override;
     void update(std::uint64_t pc, bool taken) override;
     void reset() override;
     std::string name() const override;
     std::uint64_t storageBits() const override;
     std::uint64_t counterBits() const override;
 
-    /** Each perceptron is reported as one "direction counter" so the
-     *  stream analyses can attribute lookups to table entries. */
+    /** Each perceptron counts as one "direction counter". Without a
+     *  fast core nothing reports which one served, so the Section 4
+     *  analyses refuse this predictor. */
     std::uint64_t directionCounters() const override;
 
     /** The perceptron serving @p pc. */

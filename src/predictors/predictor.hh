@@ -3,16 +3,18 @@
  * The branch predictor interface.
  *
  * All predictors in this project are conditional-direction predictors
- * operated trace-driven: the harness calls predictDetailed(pc), then
+ * operated trace-driven: the harness calls predict(pc), then
  * update(pc, outcome) with the resolved direction (the paper's
  * methodology; no speculative-history repair is modelled because the
  * paper models none).
  *
- * Besides the prediction itself, predictors expose *which* 2-bit
- * counter in their second-level structure served the request. The
- * bias-class analysis of the paper's Section 4 (Figures 5-8,
- * Tables 3-4) is built entirely on this hook, keeping the analysis
- * code independent of any particular predictor's internals.
+ * Which 2-bit counter served a prediction is not part of this
+ * interface: a fast-core predictor reports it through the counter
+ * hook of its stepFast() (predictors/fast_base.hh), which the replay
+ * kernel forwards to its probe. The bias-class analysis of the
+ * paper's Section 4 (Figures 5-8, Tables 3-4) is built entirely on
+ * that hook, keeping the analysis code independent of any particular
+ * predictor's internals.
  */
 
 #ifndef BPSIM_PREDICTORS_PREDICTOR_HH
@@ -24,21 +26,6 @@
 
 namespace bpsim
 {
-
-/** Result of one prediction, with analysis provenance. */
-struct PredictionDetail
-{
-    /** Predicted direction. */
-    bool taken = false;
-    /** True when a direction counter served this prediction and
-     *  counterId below is meaningful. */
-    bool usesCounter = false;
-    /** Bank that served the prediction, for banked predictors. */
-    std::uint32_t bank = 0;
-    /** Global id of the serving direction counter, unique across
-     *  banks, in [0, directionCounters()). */
-    std::uint64_t counterId = 0;
-};
 
 /** Abstract conditional branch direction predictor. */
 class BranchPredictor
@@ -52,13 +39,7 @@ class BranchPredictor
      * Must not mutate predictor state; speculation effects are out of
      * scope for this trace-driven study.
      */
-    virtual PredictionDetail predictDetailed(std::uint64_t pc) const = 0;
-
-    /** Convenience wrapper returning only the direction. */
-    bool predict(std::uint64_t pc) const
-    {
-        return predictDetailed(pc).taken;
-    }
+    virtual bool predict(std::uint64_t pc) const = 0;
 
     /** Trains the predictor with the resolved direction of @p pc. */
     virtual void update(std::uint64_t pc, bool taken) = 0;
@@ -94,9 +75,9 @@ class BranchPredictor
     virtual std::uint64_t counterBits() const { return storageBits(); }
 
     /**
-     * Number of direction counters addressable by
-     * PredictionDetail::counterId; 0 when the predictor exposes no
-     * counters (static predictors).
+     * Number of direction counters; the ids a fast core's counter
+     * hook reports lie in [0, directionCounters()). 0 when the
+     * predictor exposes no counters (static predictors).
      */
     virtual std::uint64_t directionCounters() const { return 0; }
 };

@@ -14,14 +14,13 @@ BtfnPredictor::BtfnPredictor(unsigned entriesLog2)
 {
 }
 
-PredictionDetail
-BtfnPredictor::predictDetailed(std::uint64_t pc) const
+bool
+BtfnPredictor::predict(std::uint64_t pc) const
 {
     const std::size_t index =
         static_cast<std::size_t>(pcIndexBits(pc, indexBits));
     // Unknown branches default to not-taken (forward-biased code).
-    const bool taken = sense[index] == 2;
-    return PredictionDetail{taken, false, 0, 0};
+    return sense[index] == 2;
 }
 
 void

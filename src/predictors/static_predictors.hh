@@ -2,7 +2,7 @@
  * @file
  * Stateless baseline predictors: always-taken, always-not-taken, and
  * backward-taken/forward-not-taken (BTFN). These anchor the accuracy
- * comparisons and exercise the no-counter path of the analysis code.
+ * comparisons and are the kinds the Section 4 analyses refuse.
  */
 
 #ifndef BPSIM_PREDICTORS_STATIC_PREDICTORS_HH
@@ -19,11 +19,7 @@ namespace bpsim
 class AlwaysTakenPredictor : public BranchPredictor
 {
   public:
-    PredictionDetail
-    predictDetailed(std::uint64_t) const override
-    {
-        return PredictionDetail{true, false, 0, 0};
-    }
+    bool predict(std::uint64_t) const override { return true; }
 
     void update(std::uint64_t, bool) override {}
     void reset() override {}
@@ -35,11 +31,7 @@ class AlwaysTakenPredictor : public BranchPredictor
 class AlwaysNotTakenPredictor : public BranchPredictor
 {
   public:
-    PredictionDetail
-    predictDetailed(std::uint64_t) const override
-    {
-        return PredictionDetail{false, false, 0, 0};
-    }
+    bool predict(std::uint64_t) const override { return false; }
 
     void update(std::uint64_t, bool) override {}
     void reset() override {}
@@ -63,7 +55,7 @@ class BtfnPredictor : public BranchPredictor
     /** @param entriesLog2 log2 size of the direction-sense cache */
     explicit BtfnPredictor(unsigned entriesLog2);
 
-    PredictionDetail predictDetailed(std::uint64_t pc) const override;
+    bool predict(std::uint64_t pc) const override;
     void update(std::uint64_t pc, bool taken) override;
 
     /** Records the taken-target of @p pc, fixing the

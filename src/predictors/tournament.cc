@@ -5,83 +5,50 @@
 namespace bpsim
 {
 
-TournamentPredictor::TournamentPredictor(PredictorPtr component0,
-                                         PredictorPtr component1,
-                                         unsigned metaIndexBits)
-    : components{std::move(component0), std::move(component1)},
-      metaIndexBits(metaIndexBits),
-      meta(std::size_t{1} << metaIndexBits, 2,
+TournamentPredictor::TournamentPredictor(unsigned indexBits)
+    : bimodal(indexBits),
+      gshare(indexBits, indexBits),
+      metaIndexBits(indexBits),
+      meta(std::size_t{1} << indexBits, 2,
            SaturatingCounter::weaklyTaken(2))
 {
-    if (!components[0] || !components[1])
-        BPSIM_PANIC("tournament components must be non-null");
-    // Capture typed component views so the hot path can skip virtual
-    // dispatch when this is the standard bimodal+gshare pairing.
-    bimodalComponent = dynamic_cast<BimodalPredictor *>(
-        components[0].get());
-    gshareComponent = dynamic_cast<GsharePredictor *>(
-        components[1].get());
-}
-
-PredictionDetail
-TournamentPredictor::detailFast(std::uint64_t pc) const
-{
-    // Meta counter "taken" side selects component 1.
-    const unsigned selected = meta.predictTaken(metaIndexFor(pc)) ? 1 : 0;
-    PredictionDetail detail = components[selected]->predictDetailed(pc);
-    // Re-map the component's counter id into the combined space:
-    // component 0 first, component 1 after it.
-    if (detail.usesCounter && selected == 1)
-        detail.counterId += components[0]->directionCounters();
-    detail.bank = selected;
-    return detail;
 }
 
 void
 TournamentPredictor::resetFast()
 {
     meta.reset();
-    components[0]->reset();
-    components[1]->reset();
+    bimodal.resetFast();
+    gshare.resetFast();
 }
 
 std::string
 TournamentPredictor::name() const
 {
     std::ostringstream os;
-    os << "tournament(" << components[0]->name() << "+"
-       << components[1]->name() << ",m=" << metaIndexBits << ")";
+    os << "tournament(" << bimodal.name() << "+" << gshare.name()
+       << ",m=" << metaIndexBits << ")";
     return os.str();
 }
 
 std::uint64_t
 TournamentPredictor::storageBits() const
 {
-    return meta.storageBits() + components[0]->storageBits() +
-           components[1]->storageBits();
+    return meta.storageBits() + bimodal.storageBits() +
+           gshare.storageBits();
 }
 
 std::uint64_t
 TournamentPredictor::counterBits() const
 {
-    return meta.storageBits() + components[0]->counterBits() +
-           components[1]->counterBits();
+    return meta.storageBits() + bimodal.counterBits() +
+           gshare.counterBits();
 }
 
 std::uint64_t
 TournamentPredictor::directionCounters() const
 {
-    return components[0]->directionCounters() +
-           components[1]->directionCounters();
-}
-
-PredictorPtr
-TournamentPredictor::makeStandard(unsigned indexBits)
-{
-    auto bimodal = std::make_unique<BimodalPredictor>(indexBits);
-    auto gshare = std::make_unique<GsharePredictor>(indexBits, indexBits);
-    return std::make_unique<TournamentPredictor>(
-        std::move(bimodal), std::move(gshare), indexBits);
+    return bimodal.directionCounters() + gshare.directionCounters();
 }
 
 } // namespace bpsim

@@ -23,68 +23,39 @@
 namespace bpsim
 {
 
-/** Meta-selected pair of component predictors. */
+/** Meta-selected bimodal + gshare pair. */
 class TournamentPredictor : public FastPredictorBase<TournamentPredictor>
 {
   public:
     /**
-     * @param component0 first component (meta counter low side)
-     * @param component1 second component (meta counter high side)
-     * @param metaIndexBits log2 of the meta table size
+     * Standard configuration: bimodal and full-history gshare
+     * components of 2^n counters each (2^(n+1) together) plus the
+     * meta table of 2^n.
      */
-    TournamentPredictor(PredictorPtr component0, PredictorPtr component1,
-                        unsigned metaIndexBits);
+    explicit TournamentPredictor(unsigned indexBits);
 
-    PredictionDetail detailFast(std::uint64_t pc) const;
     void resetFast();
     std::string name() const override;
     std::uint64_t storageBits() const override;
     std::uint64_t counterBits() const override;
+
+    /** Bimodal counters first, then gshare's, offset past them. */
     std::uint64_t directionCounters() const override;
 
-    /**
-     * Standard configuration: bimodal + gshare components sized so
-     * the total counter budget is 2^(n+1) counters plus the meta
-     * table of 2^n.
-     */
-    static PredictorPtr makeStandard(unsigned indexBits);
-
-    /** Devirtualized hot path: == predictDetailed().taken. */
+    /** Devirtualized hot path: the direction of predict(). */
     bool
     predictFast(std::uint64_t pc) const
     {
-        const unsigned selected =
-            meta.predictTaken(metaIndexFor(pc)) ? 1 : 0;
-        if (bimodalComponent && gshareComponent) {
-            return selected == 1 ? gshareComponent->predictFast(pc)
-                                 : bimodalComponent->predictFast(pc);
-        }
-        return components[selected]->predict(pc);
+        return meta.predictTaken(metaIndexFor(pc))
+                   ? gshare.predictFast(pc)
+                   : bimodal.predictFast(pc);
     }
 
     /** Devirtualized hot path: the state transition of update(). */
     void
     updateFast(std::uint64_t pc, bool taken)
     {
-        bool p0, p1;
-        if (bimodalComponent && gshareComponent) {
-            p0 = bimodalComponent->predictFast(pc);
-            p1 = gshareComponent->predictFast(pc);
-        } else {
-            p0 = components[0]->predict(pc);
-            p1 = components[1]->predict(pc);
-        }
-        // Train the meta table only when the components disagree,
-        // toward whichever was right.
-        if (p0 != p1)
-            meta.update(metaIndexFor(pc), p1 == taken);
-        if (bimodalComponent && gshareComponent) {
-            bimodalComponent->updateFast(pc, taken);
-            gshareComponent->updateFast(pc, taken);
-        } else {
-            components[0]->update(pc, taken);
-            components[1]->update(pc, taken);
-        }
+        (void)stepFast(pc, taken);
     }
 
     /**
@@ -92,42 +63,42 @@ class TournamentPredictor : public FastPredictorBase<TournamentPredictor>
      * the component predictions; bit-identical to predictFast() then
      * updateFast(). The components are state-independent of each
      * other and of the meta table, so fusing their predict/update
-     * pairs cannot reorder any visible state transition.
+     * pairs cannot reorder any visible state transition. @p hook
+     * hears the selected component's counter, gshare's offset past
+     * the bimodal table.
      */
+    template <typename Hook = NoCounterHook>
     bool
-    stepFast(std::uint64_t pc, bool taken)
+    stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})
     {
-        if (bimodalComponent && gshareComponent) {
-            // One shared word-address extraction feeds the meta index
-            // and both component indices: each is a mask (plus the
-            // gshare history xor) away, instead of every component
-            // call re-deriving pc >> 2 for itself.
-            const std::uint64_t word = pc >> 2;
-            const std::size_t meta_index = static_cast<std::size_t>(
-                word & maskBits(metaIndexBits));
-            const bool use_second = meta.predictTaken(meta_index);
-            CounterTable &bimodal_table = bimodalComponent->tableRef();
-            const std::size_t bimodal_index =
-                static_cast<std::size_t>(
-                    word & maskBits(bimodalComponent->indexBitCount()));
-            const bool p0 = bimodal_table.predictTaken(bimodal_index);
-            bimodal_table.update(bimodal_index, taken);
-            CounterTable &gshare_table = gshareComponent->tableRef();
-            HistoryRegister &gshare_history =
-                gshareComponent->historyRef();
-            const std::size_t gshare_index = static_cast<std::size_t>(
-                (word & maskBits(gshareComponent->indexBitCount())) ^
-                gshare_history.value());
-            const bool p1 = gshare_table.predictTaken(gshare_index);
-            gshare_table.update(gshare_index, taken);
-            gshare_history.push(taken);
-            if (p0 != p1)
-                meta.update(meta_index, p1 == taken);
-            return use_second ? p1 : p0;
-        }
-        const bool prediction = predictFast(pc);
-        updateFast(pc, taken);
-        return prediction;
+        // One shared word-address extraction feeds the meta index
+        // and both component indices: each is a mask (plus the
+        // gshare history xor) away, instead of every component call
+        // re-deriving pc >> 2 for itself.
+        const std::uint64_t word = pc >> 2;
+        const std::size_t meta_index =
+            static_cast<std::size_t>(word & maskBits(metaIndexBits));
+        const bool use_second = meta.predictTaken(meta_index);
+        CounterTable &bimodal_table = bimodal.tableRef();
+        const std::size_t bimodal_index = static_cast<std::size_t>(
+            word & maskBits(bimodal.indexBitCount()));
+        CounterTable &gshare_table = gshare.tableRef();
+        HistoryRegister &gshare_history = gshare.historyRef();
+        const std::size_t gshare_index = static_cast<std::size_t>(
+            (word & maskBits(gshare.indexBitCount())) ^
+            gshare_history.value());
+        hook.counter(use_second ? bimodal_table.size() + gshare_index
+                                : bimodal_index);
+        const bool p0 = bimodal_table.predictTaken(bimodal_index);
+        bimodal_table.update(bimodal_index, taken);
+        const bool p1 = gshare_table.predictTaken(gshare_index);
+        gshare_table.update(gshare_index, taken);
+        gshare_history.push(taken);
+        // Train the meta table only when the components disagree,
+        // toward whichever was right.
+        if (p0 != p1)
+            meta.update(meta_index, p1 == taken);
+        return use_second ? p1 : p0;
     }
 
     /** @name Mutable SoA views for the SIMD bank
@@ -136,10 +107,8 @@ class TournamentPredictor : public FastPredictorBase<TournamentPredictor>
     /**@{*/
     CounterTable &metaTableRef() { return meta; }
     unsigned metaIndexBitCount() const { return metaIndexBits; }
-    /** Typed components of the standard bimodal+gshare pairing; null
-     *  for custom pairings (which then run the scalar bank). */
-    BimodalPredictor *bimodalComponentPtr() { return bimodalComponent; }
-    GsharePredictor *gshareComponentPtr() { return gshareComponent; }
+    BimodalPredictor &bimodalRef() { return bimodal; }
+    GsharePredictor &gshareRef() { return gshare; }
     /**@}*/
 
   private:
@@ -149,14 +118,10 @@ class TournamentPredictor : public FastPredictorBase<TournamentPredictor>
         return static_cast<std::size_t>(pcIndexBits(pc, metaIndexBits));
     }
 
-    PredictorPtr components[2];
-    /**
-     * Typed views of the components for the devirtualized path; null
-     * when a component is not the standard bimodal/gshare pair, in
-     * which case the fast methods fall back to virtual dispatch.
-     */
-    BimodalPredictor *bimodalComponent = nullptr;
-    GsharePredictor *gshareComponent = nullptr;
+    /** Component 0, selected while the meta counter says not-taken. */
+    BimodalPredictor bimodal;
+    /** Component 1, selected while the meta counter says taken. */
+    GsharePredictor gshare;
     unsigned metaIndexBits;
     CounterTable meta;
 };

@@ -18,13 +18,6 @@ TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
     }
 }
 
-PredictionDetail
-TwoLevelPredictor::detailFast(std::uint64_t pc) const
-{
-    const std::size_t index = indexFor(pc);
-    return PredictionDetail{counters.predictTaken(index), true, 0, index};
-}
-
 void
 TwoLevelPredictor::resetFast()
 {

@@ -58,7 +58,6 @@ class TwoLevelPredictor : public FastPredictorBase<TwoLevelPredictor>
   public:
     explicit TwoLevelPredictor(const TwoLevelConfig &config);
 
-    PredictionDetail detailFast(std::uint64_t pc) const;
     void resetFast();
     std::string name() const override;
     std::uint64_t storageBits() const override;
@@ -76,7 +75,7 @@ class TwoLevelPredictor : public FastPredictorBase<TwoLevelPredictor>
             (pht << cfg.historyBits) | history);
     }
 
-    /** Devirtualized hot path: == predictDetailed().taken. The scope
+    /** Devirtualized hot path: the direction of predict(). The scope
      *  branch is perfectly predictable (fixed per instance), so one
      *  generic core serves all four taxonomy points. */
     bool
@@ -94,11 +93,14 @@ class TwoLevelPredictor : public FastPredictorBase<TwoLevelPredictor>
     }
 
     /** Fused hot path: predict + update sharing one second-level
-     *  index; bit-identical to predictFast() then updateFast(). */
+     *  index; bit-identical to predictFast() then updateFast().
+     *  Reports the serving counter (its PHT index) to @p hook. */
+    template <typename Hook = NoCounterHook>
     bool
-    stepFast(std::uint64_t pc, bool taken)
+    stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})
     {
         const std::size_t index = indexFor(pc);
+        hook.counter(index);
         const bool prediction = counters.predictTaken(index);
         counters.update(index, taken);
         pushHistory(pc, taken);

@@ -24,26 +24,6 @@ YagsPredictor::YagsPredictor(const YagsConfig &config)
     caches[1].resize(cache_entries);
 }
 
-PredictionDetail
-YagsPredictor::detailFast(std::uint64_t pc) const
-{
-    const Lookup look = lookupFor(pc);
-    PredictionDetail detail;
-    detail.taken = look.prediction;
-    detail.usesCounter = true;
-    const std::uint64_t cache_size = caches[0].size();
-    if (look.hit) {
-        detail.bank = look.cache;
-        detail.counterId =
-            static_cast<std::uint64_t>(look.cache) * cache_size +
-            look.cacheIndex;
-    } else {
-        detail.bank = kChoiceBank;
-        detail.counterId = 2 * cache_size + look.choiceIndex;
-    }
-    return detail;
-}
-
 void
 YagsPredictor::resetFast()
 {

@@ -47,30 +47,33 @@ class YagsPredictor : public FastPredictorBase<YagsPredictor>
   public:
     static constexpr std::uint32_t kNotTakenCache = 0;
     static constexpr std::uint32_t kTakenCache = 1;
-    /** Bank id reported when the choice table served the prediction. */
-    static constexpr std::uint32_t kChoiceBank = 2;
 
     explicit YagsPredictor(const YagsConfig &config);
 
-    PredictionDetail detailFast(std::uint64_t pc) const;
     void resetFast();
     std::string name() const override;
     std::uint64_t storageBits() const override;
     std::uint64_t counterBits() const override;
     std::uint64_t directionCounters() const override;
 
-    /** Devirtualized hot path: == predictDetailed().taken. */
+    /** Devirtualized hot path: the direction of predict(). */
     bool predictFast(std::uint64_t pc) const
     {
         return lookupFor(pc).prediction;
     }
 
     /** Fused hot path: predict + update sharing one lookupFor();
-     *  bit-identical to predictFast() then updateFast(). */
+     *  bit-identical to predictFast() then updateFast(). @p hook
+     *  hears cache * cacheSize + the cache index on a hit, else
+     *  2 * cacheSize + the choice index. */
+    template <typename Hook = NoCounterHook>
     bool
-    stepFast(std::uint64_t pc, bool taken)
+    stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})
     {
         const Lookup look = lookupFor(pc);
+        const std::uint64_t cache_size = caches[0].size();
+        hook.counter(look.hit ? look.cache * cache_size + look.cacheIndex
+                              : 2 * cache_size + look.choiceIndex);
         const std::uint8_t max_counter =
             static_cast<std::uint8_t>(maskBits(cfg.counterWidth));
 

@@ -7,14 +7,19 @@
  * added unconditionally would tax every campaign that never asked
  * for it. Probes resolve that tension at compile time: the scalar
  * kernels (sim/replay_kernel.hh) take a Probe template parameter
- * whose record() call sits in the measured loop.
- * The default NullProbe's record() is an empty inline function — the
- * instantiation is the exact pre-probe loop, so the unprobed kernels
- * keep their codegen and throughput (bench/perf_replay.cc guards
- * this against BENCH_replay.json). PerBranchProbe is the one real
- * sink: a dense uint64 misprediction counter per static branch,
- * indexed by PcIndex's compact per-record ids — one load and one add
- * per measured branch, no hashing.
+ * with two calls in the measured loop. The kernel hands the probe to
+ * stepFast() as its counter hook, so counter(id) hears the id of the
+ * direction counter that served the branch (predictors/fast_base.hh);
+ * record(i, mispredicted) follows with the outcome. The default
+ * NullProbe's calls are empty inline functions — the instantiation
+ * is the exact pre-probe loop, so the unprobed kernels keep their
+ * codegen and throughput (bench/perf_replay.cc guards this against
+ * BENCH_replay.json). PerBranchProbe is a dense uint64 misprediction
+ * counter per static branch, indexed by PcIndex's compact per-record
+ * ids — one load and one add per measured branch, no hashing — and
+ * ignores the counter id just as NullProbe does. CounterProbe is the
+ * one sink that keeps the id: the Section 4 analyses (analysis/)
+ * build their per-(branch, counter) streams from it.
  *
  * Probes accumulate only mispredictions. Executions and taken counts
  * per static branch are facts of the trace (lane- and
@@ -47,6 +52,7 @@ namespace bpsim
 /** The default probe: records nothing, compiles to nothing. */
 struct NullProbe
 {
+    void counter(std::uint64_t /* id */) const {}
     void record(std::size_t /* i */, bool /* mispredicted */) const {}
 };
 
@@ -59,10 +65,32 @@ struct PerBranchProbe
      *  zero-initialized by the caller. */
     std::uint64_t *misses = nullptr;
 
+    void counter(std::uint64_t /* id */) const {}
+
     void
     record(std::size_t i, bool mispredicted) const
     {
         misses[ids[i]] += static_cast<std::uint64_t>(mispredicted);
+    }
+};
+
+/**
+ * Probe over a callable f(i, counterId, mispredicted): the counter
+ * hook keeps the serving counter's id until record() hands it to f
+ * with the branch's outcome.
+ */
+template <typename F>
+struct CounterProbe
+{
+    F onRecord;
+    std::uint64_t served = 0;
+
+    void counter(std::uint64_t id) { served = id; }
+
+    void
+    record(std::size_t i, bool mispredicted)
+    {
+        onRecord(i, served, mispredicted);
     }
 };
 

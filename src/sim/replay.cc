@@ -78,24 +78,14 @@ replayKernelBankAny(const std::vector<BranchPredictor *> &predictors,
                     const PackedTrace &packed, const SimConfig &config,
                     std::vector<SimResult> &results)
 {
-    // Registry fold: one dynamic_cast of the group's first instance
-    // per *run* (not per branch) selects the banked kernel's concrete
-    // instantiation. Entries sharing a C++ type (the two-level
-    // taxonomy kinds) resolve to the same instantiation; the first
-    // match wins. A new registry entry with fastReplay set is picked
-    // up here with no further wiring.
+    // The group's first instance selects the banked kernel's concrete
+    // instantiation; a new registry entry with fastReplay set is
+    // picked up here with no further wiring.
     if (predictors.empty())
         return false;
-    bool matched = false;
     bool ran = false;
-    forEachPredictorEntry([&]<typename Entry>() {
-        if constexpr (Entry::fastReplay) {
-            using Pred = typename Entry::Predictor;
-            if (!matched && dynamic_cast<Pred *>(predictors.front())) {
-                matched = true;
-                ran = runBank<Pred>(predictors, packed, config, results);
-            }
-        }
+    visitFastPredictor(*predictors.front(), [&]<typename Pred>(Pred &) {
+        ran = runBank<Pred>(predictors, packed, config, results);
     });
     return ran;
 }

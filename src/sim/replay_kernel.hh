@@ -16,9 +16,9 @@
  * branches/mispredictions/takenBranches and leave P in the identical
  * state. The kernel leans on two invariants of the virtual loop:
  *
- *  - predictDetailed() is const and side-effect-free, so warm-up
- *    records (whose predictions are discarded) can skip prediction
- *    entirely and only train;
+ *  - predict() is const and side-effect-free, so warm-up records
+ *    (whose predictions are discarded) can skip prediction entirely
+ *    and only train;
  *  - none of the kernel-eligible predictor kinds override
  *    observeTarget(), so the target-observation call is omitted.
  *
@@ -75,14 +75,15 @@ countTakenInRange(const PackedTrace &packed, std::size_t from,
  * @tparam Pred a concrete predictor type providing
  *         `void updateFast(std::uint64_t pc, bool taken)` (the state
  *         transition of its virtual update()) and
- *         `bool stepFast(std::uint64_t pc, bool taken)` (fused
- *         predict + update sharing one set of table lookups,
- *         bit-identical to predict-then-update).
- * @tparam Probe per-branch accounting sink (sim/probe.hh); the
- *         default NullProbe instantiates the exact unprobed loop.
- *         The probe sees every *measured* branch (warm-up records
- *         are never recorded, matching the virtual loop's
- *         per-branch collection).
+ *         `bool stepFast(std::uint64_t pc, bool taken, Hook &hook)`
+ *         (fused predict + update sharing one set of table lookups,
+ *         bit-identical to predict-then-update, reporting the serving
+ *         counter to the hook).
+ * @tparam Probe accounting sink (sim/probe.hh), passed to stepFast()
+ *         as its counter hook; the default NullProbe instantiates
+ *         the exact unprobed loop. The probe sees every *measured*
+ *         branch (warm-up records are never recorded, matching the
+ *         virtual loop's per-branch collection).
  */
 template <typename Pred, typename Probe = NullProbe>
 SimResult
@@ -123,7 +124,7 @@ replayKernel(Pred &predictor, const PackedTrace &packed,
             const std::uint64_t pc = pcs[i];
             const bool taken = (word & 1) != 0;
             const bool mispredicted =
-                predictor.stepFast(pc, taken) != taken;
+                predictor.stepFast(pc, taken, probe) != taken;
             mispredictions += static_cast<std::uint64_t>(mispredicted);
             taken_branches += static_cast<std::uint64_t>(taken);
             probe.record(i, mispredicted);
@@ -311,7 +312,7 @@ replayKernelBank(std::vector<Pred> &bank, const PackedTrace &packed,
         const std::size_t block_end =
             std::min(total, (i / kBlockBranches + 1) * kBlockBranches);
         for (std::size_t l = 0; l < lanes; ++l) {
-            const auto laneProbe = probe.lane(l);
+            auto laneProbe = probe.lane(l);
             std::uint64_t missed = 0;
             std::size_t j = i;
             while (j < block_end) {
@@ -324,7 +325,8 @@ replayKernelBank(std::vector<Pred> &bank, const PackedTrace &packed,
                 for (; j < word_end; ++j, word >>= 1) {
                     const bool taken = (word & 1) != 0;
                     const bool mispredicted =
-                        lane[l].stepFast(pcs[j], taken) != taken;
+                        lane[l].stepFast(pcs[j], taken, laneProbe) !=
+                        taken;
                     missed += static_cast<std::uint64_t>(mispredicted);
                     laneProbe.record(j, mispredicted);
                 }

@@ -535,26 +535,18 @@ buildSimdBank(std::vector<TournamentPredictor> &bank)
     // arena, each behind its own stagger gap.
     std::uint64_t totalChoice = 2 * staggerElements(bank.size());
     for (TournamentPredictor &p : bank) {
-        BimodalPredictor *bimodal = p.bimodalComponentPtr();
-        GsharePredictor *gshare = p.gshareComponentPtr();
-        // Only the standard bimodal+gshare pairing has a flattening;
-        // custom component pairs step through virtual dispatch and
-        // stay on the scalar bank.
-        if (!bimodal || !gshare) {
-            detail::logSimdBankFallback(
-                p.name(), "non-standard component pairing");
-            return std::nullopt;
-        }
+        BimodalPredictor &bimodal = p.bimodalRef();
+        GsharePredictor &gshare = p.gshareRef();
         // Constructor-capped at the (<= 28 bit) index width; enforce
         // the lane math independently.
-        if (gshare->historyBitCount() > 31) {
+        if (gshare.historyBitCount() > 31) {
             detail::logSimdBankFallback(
                 p.name(), "history wider than the 32-bit lane math");
             return std::nullopt;
         }
-        totalCounters += gshare->tableRef().size();
+        totalCounters += gshare.tableRef().size();
         totalChoice += p.metaTableRef().size() +
-                       bimodal->tableRef().size();
+                       bimodal.tableRef().size();
     }
     if (totalCounters > kMaxArenaElements ||
         totalChoice > kMaxArenaElements) {
@@ -569,8 +561,8 @@ buildSimdBank(std::vector<TournamentPredictor> &bank)
     initLaneArrays(state, bank.size());
     for (std::size_t l = 0; l < bank.size(); ++l) {
         TournamentPredictor &p = bank[l];
-        GsharePredictor &gshare = *p.gshareComponentPtr();
-        BimodalPredictor &bimodal = *p.bimodalComponentPtr();
+        GsharePredictor &gshare = p.gshareRef();
+        BimodalPredictor &bimodal = p.bimodalRef();
         // gshare is the packed direction arena; the meta table rides
         // the choice constants and the bimodal table the aux
         // constants, both unpacked in the choice arena (pc-indexed
@@ -862,12 +854,11 @@ storeSimdBank(const SimdBankState &state,
 {
     for (std::size_t l = 0; l < bank.size(); ++l) {
         TournamentPredictor &p = bank[l];
-        GsharePredictor &gshare = *p.gshareComponentPtr();
+        GsharePredictor &gshare = p.gshareRef();
         restoreCounters(state, l, gshare.tableRef());
         gshare.historyRef().setValue(state.hist[l]);
         restoreChoiceCounters(state, l, p.metaTableRef());
-        restoreAuxCounters(state, l,
-                           p.bimodalComponentPtr()->tableRef());
+        restoreAuxCounters(state, l, p.bimodalRef().tableRef());
     }
 }
 

@@ -8,21 +8,41 @@
 namespace bpsim
 {
 
+void
+PackedTrace::pack(const BranchRecord &record)
+{
+    if (!record.isConditional())
+        return;
+    const std::size_t i = ownedPcs.size();
+    if (i % kWordBits == 0)
+        ownedWords.push_back(0);
+    if (record.taken)
+        ownedWords[i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
+    ownedPcs.push_back(record.pc);
+}
+
 PackedTrace::PackedTrace(const MemoryTrace &trace)
 {
     ownedPcs.reserve(trace.size());
     ownedWords.reserve(trace.size() / kWordBits + 1);
-    for (const BranchRecord &record : trace.data()) {
-        if (!record.isConditional())
-            continue;
-        const std::size_t i = ownedPcs.size();
-        if (i % kWordBits == 0)
-            ownedWords.push_back(0);
-        if (record.taken)
-            ownedWords[i / kWordBits] |= std::uint64_t{1}
-                                         << (i % kWordBits);
-        ownedPcs.push_back(record.pc);
-    }
+    for (const BranchRecord &record : trace.data())
+        pack(record);
+    seal();
+}
+
+PackedTrace::PackedTrace(TraceReader &reader, std::size_t maxRecords)
+{
+    ownedPcs.reserve(maxRecords);
+    ownedWords.reserve(maxRecords / kWordBits + 1);
+    BranchRecord record;
+    while (ownedPcs.size() < maxRecords && reader.next(record))
+        pack(record);
+    seal();
+}
+
+void
+PackedTrace::seal()
+{
     ownedPcs.shrink_to_fit();
     ownedWords.shrink_to_fit();
     recordCount = ownedPcs.size();

@@ -69,6 +69,10 @@ class PackedTrace
     /** Packs the conditional records of @p trace, in trace order. */
     explicit PackedTrace(const MemoryTrace &trace);
 
+    /** Packs the next (up to) @p maxRecords conditional records of
+     *  @p reader, from its current position, in trace order. */
+    PackedTrace(TraceReader &reader, std::size_t maxRecords);
+
     /**
      * Adopts pre-built arrays (e.g. decoded from a PBT1 file on a
      * host that needed byte-swapping). @p words must hold
@@ -130,6 +134,12 @@ class PackedTrace
     bool isView() const { return storage != nullptr; }
 
   private:
+    /** Appends @p record to the owned arrays if it is conditional. */
+    void pack(const BranchRecord &record);
+
+    /** Trims the owned arrays and points the span at them. */
+    void seal();
+
     /** Owned storage (kTraceArrayAlign-aligned); empty in view mode. */
     TraceWordVector ownedPcs;
     /** One bit per record, LSB-first within each word. */

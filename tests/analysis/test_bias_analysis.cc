@@ -5,6 +5,7 @@
 #include "analysis/bias_analysis.hh"
 #include "predictors/bimodal.hh"
 #include "predictors/gshare.hh"
+#include "predictors/perceptron.hh"
 #include "predictors/static_predictors.hh"
 #include "trace/memory_trace.hh"
 
@@ -157,10 +158,15 @@ TEST(BiasAnalysis, RunIsIdempotent)
 
 TEST(BiasAnalysisDeath, RequiresCounters)
 {
+    // Static kinds have no counters; perceptron has no fast core to
+    // report them.
     MemoryTrace trace;
-    AlwaysTakenPredictor predictor;
     auto reader = trace.reader();
+    AlwaysTakenPredictor predictor;
     EXPECT_EXIT((BiasAnalysis{predictor, reader}),
+                ::testing::ExitedWithCode(1), "exposes none");
+    PerceptronPredictor perceptron(PerceptronConfig{});
+    EXPECT_EXIT((BiasAnalysis{perceptron, reader}),
                 ::testing::ExitedWithCode(1), "exposes none");
 }
 

@@ -5,6 +5,7 @@
 #include "analysis/interference.hh"
 #include "core/bimode.hh"
 #include "predictors/bimodal.hh"
+#include "predictors/perceptron.hh"
 #include "predictors/static_predictors.hh"
 #include "trace/memory_trace.hh"
 
@@ -139,6 +140,9 @@ TEST(InterferenceDeath, RequiresCounters)
     AlwaysTakenPredictor predictor;
     auto reader = trace.reader();
     EXPECT_EXIT(measureInterference(predictor, reader),
+                ::testing::ExitedWithCode(1), "exposes none");
+    PerceptronPredictor perceptron(PerceptronConfig{});
+    EXPECT_EXIT(measureInterference(perceptron, reader),
                 ::testing::ExitedWithCode(1), "exposes none");
 }
 

@@ -100,6 +100,19 @@ TEST(StreamTracker, NoKeyCollisionsAcrossLargeSpace)
     tracker.observe(0x1001, 0x0, true, false);
     tracker.observe((0x1000 << 1) | 1, 0x1, true, false);
     EXPECT_EQ(tracker.streamCount(), 3u);
+    // Ids of 2^24 and up are legal (a 2^28-entry table): this pair
+    // shares a hash value, (0x1000 << 24) ^ (1 << 26) ==
+    // 0x1004 << 24, yet must stay two streams.
+    tracker.observe(0x1000, std::uint64_t{1} << 26, true, false);
+    tracker.observe(0x1004, 0, false, true);
+    EXPECT_EQ(tracker.streamCount(), 5u);
+    const StreamStats *high = tracker.find(0x1000, std::uint64_t{1} << 26);
+    const StreamStats *low = tracker.find(0x1004, 0);
+    ASSERT_NE(high, nullptr);
+    ASSERT_NE(low, nullptr);
+    EXPECT_NE(high, low);
+    EXPECT_EQ(high->takenCount, 1u);
+    EXPECT_EQ(low->mispredictions, 1u);
 }
 
 } // namespace

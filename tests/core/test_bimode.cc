@@ -47,13 +47,16 @@ TEST(BiMode, ChoiceSelectsBank)
 {
     BiModePredictor predictor(tinyConfig());
     const std::uint64_t pc = 0x1000;
-    // Fresh: choice says taken -> taken bank.
-    EXPECT_EQ(predictor.predictDetailed(pc).bank,
+    // Counter ids are bank-major, so the serving bank is the id's
+    // bits above the direction index. Fresh: choice says taken ->
+    // taken bank.
+    const unsigned d = tinyConfig().directionIndexBits;
+    EXPECT_EQ(servingCounter(predictor, pc) >> d,
               BiModePredictor::kTakenBank);
     // Train not-taken twice: choice drops to the not-taken side.
     predictor.update(pc, false);
     predictor.update(pc, false);
-    EXPECT_EQ(predictor.predictDetailed(pc).bank,
+    EXPECT_EQ(servingCounter(predictor, pc) >> d,
               BiModePredictor::kNotTakenBank);
 }
 
@@ -181,16 +184,15 @@ TEST(BiMode, CounterIdsAreBankMajor)
     const std::uint64_t pc = 0x1000;
     const std::uint64_t bank_size = 1u << 2;
     // Fresh prediction comes from the taken bank (bank 1).
-    PredictionDetail detail = predictor.predictDetailed(pc);
-    EXPECT_EQ(detail.bank, BiModePredictor::kTakenBank);
-    EXPECT_GE(detail.counterId, bank_size);
-    EXPECT_LT(detail.counterId, predictor.directionCounters());
+    std::uint64_t id = servingCounter(predictor, pc);
+    EXPECT_EQ(id, bank_size + predictor.directionIndexFor(pc));
+    EXPECT_LT(id, predictor.directionCounters());
     // After the choice flips, ids come from the not-taken bank.
     predictor.update(pc, false);
     predictor.update(pc, false);
-    detail = predictor.predictDetailed(pc);
-    EXPECT_EQ(detail.bank, BiModePredictor::kNotTakenBank);
-    EXPECT_LT(detail.counterId, bank_size);
+    id = servingCounter(predictor, pc);
+    EXPECT_EQ(id, predictor.directionIndexFor(pc));
+    EXPECT_LT(id, bank_size);
 }
 
 TEST(BiMode, HistoryAffectsDirectionIndexOnly)
@@ -283,11 +285,9 @@ TEST_P(BiModeSizeTest, DetailInRange)
     BiModePredictor predictor(BiModeConfig::canonical(GetParam()));
     std::uint64_t pc = 0x400000;
     for (int i = 0; i < 500; ++i) {
-        const PredictionDetail detail = predictor.predictDetailed(pc);
-        EXPECT_TRUE(detail.usesCounter);
-        EXPECT_LT(detail.counterId, predictor.directionCounters());
-        EXPECT_LE(detail.bank, 1u);
-        predictor.update(pc, (i / 3) % 2 == 0);
+        LastCounterHook served;
+        predictor.stepFast(pc, (i / 3) % 2 == 0, served);
+        EXPECT_LT(served.id, predictor.directionCounters());
         pc += 4 * ((i % 9) + 1);
     }
 }

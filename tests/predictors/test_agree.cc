@@ -98,10 +98,9 @@ TEST(Agree, DetailInRange)
     AgreePredictor predictor(cfg);
     std::uint64_t pc = 0x400000;
     for (int i = 0; i < 300; ++i) {
-        const PredictionDetail detail = predictor.predictDetailed(pc);
-        EXPECT_TRUE(detail.usesCounter);
-        EXPECT_LT(detail.counterId, predictor.directionCounters());
-        predictor.update(pc, i % 4 != 0);
+        LastCounterHook served;
+        predictor.stepFast(pc, i % 4 != 0, served);
+        EXPECT_LT(served.id, predictor.directionCounters());
         pc += 12;
     }
 }

@@ -57,11 +57,9 @@ TEST(Bimodal, TracksBiasFlip)
 TEST(Bimodal, DetailReportsCounter)
 {
     BimodalPredictor predictor(6);
-    const PredictionDetail detail = predictor.predictDetailed(0x1234);
-    EXPECT_TRUE(detail.usesCounter);
-    EXPECT_EQ(detail.bank, 0u);
-    EXPECT_EQ(detail.counterId, predictor.indexFor(0x1234));
-    EXPECT_LT(detail.counterId, predictor.directionCounters());
+    const std::uint64_t id = servingCounter(predictor, 0x1234);
+    EXPECT_EQ(id, predictor.indexFor(0x1234));
+    EXPECT_LT(id, predictor.directionCounters());
 }
 
 TEST(Bimodal, ResetRestoresInitialState)

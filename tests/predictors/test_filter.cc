@@ -24,9 +24,9 @@ TEST(Filter, UnfilteredBranchUsesPht)
 {
     FilterPredictor predictor(tinyConfig());
     EXPECT_FALSE(predictor.isFiltered(0x1000));
-    const PredictionDetail detail = predictor.predictDetailed(0x1000);
-    EXPECT_EQ(detail.bank, FilterPredictor::kPhtBank);
-    EXPECT_TRUE(detail.taken) << "PHT starts weakly-taken";
+    EXPECT_EQ(servingCounter(predictor, 0x1000),
+              predictor.phtIndexFor(0x1000));
+    EXPECT_TRUE(predictor.predict(0x1000)) << "PHT starts weakly-taken";
 }
 
 TEST(Filter, LongRunEngagesFilter)
@@ -35,9 +35,10 @@ TEST(Filter, LongRunEngagesFilter)
     for (int i = 0; i < 7; ++i)
         predictor.update(0x1000, false);
     EXPECT_TRUE(predictor.isFiltered(0x1000));
-    const PredictionDetail detail = predictor.predictDetailed(0x1000);
-    EXPECT_EQ(detail.bank, FilterPredictor::kFilterBank);
-    EXPECT_FALSE(detail.taken);
+    // Filter entries' ids follow the 16 PHT counters'.
+    EXPECT_EQ(servingCounter(predictor, 0x1000),
+              16u + predictor.filterIndexFor(0x1000));
+    EXPECT_FALSE(predictor.predict(0x1000));
 }
 
 TEST(Filter, DirectionChangeDisengagesFilter)
@@ -93,14 +94,12 @@ TEST(Filter, UnfilteredConflictStillInterferes)
 TEST(Filter, CounterIdsSpanPhtAndFilter)
 {
     FilterPredictor predictor(tinyConfig());
-    const PredictionDetail pht_detail = predictor.predictDetailed(0x1000);
-    EXPECT_LT(pht_detail.counterId, 16u);
+    EXPECT_LT(servingCounter(predictor, 0x1000), 16u);
     for (int i = 0; i < 8; ++i)
         predictor.update(0x1000, true);
-    const PredictionDetail filter_detail =
-        predictor.predictDetailed(0x1000);
-    EXPECT_GE(filter_detail.counterId, 16u);
-    EXPECT_LT(filter_detail.counterId, predictor.directionCounters());
+    const std::uint64_t filter_id = servingCounter(predictor, 0x1000);
+    EXPECT_GE(filter_id, 16u);
+    EXPECT_LT(filter_id, predictor.directionCounters());
 }
 
 TEST(Filter, ResetDisengagesEverything)

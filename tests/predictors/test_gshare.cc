@@ -151,10 +151,9 @@ TEST_P(GshareConfigTest, DetailInRange)
     GsharePredictor gshare(n, m);
     std::uint64_t pc = 0x400000;
     for (int i = 0; i < 500; ++i) {
-        const PredictionDetail detail = gshare.predictDetailed(pc);
-        EXPECT_TRUE(detail.usesCounter);
-        EXPECT_LT(detail.counterId, gshare.directionCounters());
-        gshare.update(pc, i % 2 == 0);
+        LastCounterHook served;
+        gshare.stepFast(pc, i % 2 == 0, served);
+        EXPECT_LT(served.id, gshare.directionCounters());
         pc += 4 * ((i % 7) + 1);
     }
 }

@@ -144,10 +144,9 @@ TEST(Gskew, ResetRestoresTakenDefault)
 TEST(Gskew, DetailReportsBimodalBank)
 {
     GskewPredictor predictor(smallConfig());
-    const PredictionDetail detail = predictor.predictDetailed(0x1000);
-    EXPECT_TRUE(detail.usesCounter);
-    EXPECT_EQ(detail.bank, 0u);
-    EXPECT_LT(detail.counterId, predictor.directionCounters());
+    const std::uint64_t id = servingCounter(predictor, 0x1000);
+    EXPECT_EQ(id, predictor.indexFor(0, 0x1000));
+    EXPECT_LT(id, predictor.directionCounters());
 }
 
 } // namespace

@@ -133,14 +133,6 @@ TEST(Perceptron, StorageAccounting)
     EXPECT_EQ(predictor.directionCounters(), 64u);
 }
 
-TEST(Perceptron, DetailReportsTableEntry)
-{
-    PerceptronPredictor predictor(smallConfig());
-    const PredictionDetail detail = predictor.predictDetailed(0x1010);
-    EXPECT_TRUE(detail.usesCounter);
-    EXPECT_EQ(detail.counterId, predictor.indexFor(0x1010));
-}
-
 TEST(PerceptronDeath, BadConfigIsFatal)
 {
     PerceptronConfig cfg = smallConfig();

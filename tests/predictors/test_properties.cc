@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/factory.hh"
+#include "core/registry.hh"
 #include "util/random.hh"
 
 namespace bpsim
@@ -38,6 +39,20 @@ syntheticStream(std::size_t n, std::uint64_t seed)
     return stream;
 }
 
+/** Counter hook counting its calls and keeping the last id. */
+struct CountingHook
+{
+    std::uint64_t id = 0;
+    int calls = 0;
+
+    void
+    counter(std::uint64_t served)
+    {
+        id = served;
+        ++calls;
+    }
+};
+
 class PredictorPropertyTest
     : public ::testing::TestWithParam<const char *>
 {
@@ -53,14 +68,9 @@ TEST_P(PredictorPropertyTest, PredictIsConstAndStable)
 {
     const PredictorPtr predictor = make();
     for (std::uint64_t pc : {0x1000ULL, 0x2348ULL, 0x9abcULL}) {
-        const PredictionDetail first = predictor->predictDetailed(pc);
-        for (int i = 0; i < 5; ++i) {
-            const PredictionDetail again = predictor->predictDetailed(pc);
-            EXPECT_EQ(again.taken, first.taken);
-            EXPECT_EQ(again.usesCounter, first.usesCounter);
-            EXPECT_EQ(again.bank, first.bank);
-            EXPECT_EQ(again.counterId, first.counterId);
-        }
+        const bool first = predictor->predict(pc);
+        for (int i = 0; i < 5; ++i)
+            EXPECT_EQ(predictor->predict(pc), first);
     }
 }
 
@@ -102,16 +112,21 @@ TEST_P(PredictorPropertyTest, DeterministicAcrossInstances)
 
 TEST_P(PredictorPropertyTest, CounterIdsStayInRange)
 {
+    // Every fast core reports exactly one serving counter per step,
+    // in range; kinds without one report none.
     const PredictorPtr predictor = make();
     const std::uint64_t counters = predictor->directionCounters();
-    for (const auto &[pc, outcome] : syntheticStream(3000, 13)) {
-        const PredictionDetail detail = predictor->predictDetailed(pc);
-        if (detail.usesCounter) {
-            ASSERT_GT(counters, 0u) << GetParam();
-            ASSERT_LT(detail.counterId, counters) << GetParam();
+    const bool fast = visitFastPredictor(*predictor, [&](auto &core) {
+        ASSERT_GT(counters, 0u) << GetParam();
+        for (const auto &[pc, outcome] : syntheticStream(3000, 13)) {
+            CountingHook hook;
+            core.stepFast(pc, outcome, hook);
+            ASSERT_EQ(hook.calls, 1) << GetParam();
+            ASSERT_LT(hook.id, counters) << GetParam();
         }
-        predictor->update(pc, outcome);
-    }
+    });
+    EXPECT_EQ(fast,
+              hasFastReplay(PredictorSpec::parse(GetParam()).kind));
 }
 
 TEST_P(PredictorPropertyTest, CounterBitsNotAboveStorageBits)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/registry.hh"
 #include "predictors/static_predictors.hh"
 
 namespace bpsim
@@ -27,12 +28,19 @@ TEST(AlwaysNotTaken, PredictsNotTaken)
     EXPECT_FALSE(predictor.predict(0x1000));
 }
 
-TEST(StaticPredictors, NoCounterInDetail)
+TEST(StaticPredictors, ReportNoCounters)
 {
+    // No direction counters and no fast core, hence no counter hook.
     AlwaysTakenPredictor taken;
-    EXPECT_FALSE(taken.predictDetailed(0x1000).usesCounter);
     AlwaysNotTakenPredictor not_taken;
-    EXPECT_FALSE(not_taken.predictDetailed(0x1000).usesCounter);
+    BtfnPredictor btfn(8);
+    for (BranchPredictor *predictor :
+         {static_cast<BranchPredictor *>(&taken),
+          static_cast<BranchPredictor *>(&not_taken),
+          static_cast<BranchPredictor *>(&btfn)}) {
+        EXPECT_EQ(predictor->directionCounters(), 0u);
+        EXPECT_FALSE(visitFastPredictor(*predictor, [](auto &) {}));
+    }
 }
 
 TEST(Btfn, DefaultsToNotTaken)

@@ -138,10 +138,9 @@ TEST_P(TaxonomyTest, DetailStaysInRange)
     TwoLevelPredictor predictor(GetParam());
     std::uint64_t pc = 0x400000;
     for (int i = 0; i < 300; ++i) {
-        const PredictionDetail detail = predictor.predictDetailed(pc);
-        EXPECT_TRUE(detail.usesCounter);
-        EXPECT_LT(detail.counterId, predictor.directionCounters());
-        predictor.update(pc, i % 5 < 3);
+        LastCounterHook served;
+        predictor.stepFast(pc, i % 5 < 3, served);
+        EXPECT_LT(served.id, predictor.directionCounters());
         pc += 8;
     }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "predictors/yags.hh"
 
 namespace bpsim
@@ -20,13 +22,26 @@ tinyConfig()
     return cfg;
 }
 
+/** Entries per cache in tinyConfig(). */
+constexpr std::uint64_t kCacheEntries = 16;
+/** servingTable() of the choice table: its counter ids follow both
+ *  caches'. */
+constexpr std::uint64_t kChoiceTable = 2;
+
+/** Which table serves @p pc: a cache, or kChoiceTable. */
+std::uint64_t
+servingTable(const YagsPredictor &predictor, std::uint64_t pc)
+{
+    return std::min(servingCounter(predictor, pc) / kCacheEntries,
+                    kChoiceTable);
+}
+
 TEST(Yags, FallsBackToChoiceWhenCacheMisses)
 {
     YagsPredictor predictor(tinyConfig());
     // Fresh predictor: caches empty, choice weakly-taken.
-    const PredictionDetail detail = predictor.predictDetailed(0x1000);
-    EXPECT_TRUE(detail.taken);
-    EXPECT_EQ(detail.bank, YagsPredictor::kChoiceBank);
+    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_EQ(servingTable(predictor, 0x1000), kChoiceTable);
 }
 
 TEST(Yags, LearnsStrongBiases)
@@ -49,9 +64,9 @@ TEST(Yags, AllocatesExceptionOnBiasDeviation)
     // One deviation allocates a not-taken-cache entry...
     predictor.update(0x1000, false);
     // ...which now serves the prediction (cache hit overrides).
-    const PredictionDetail detail = predictor.predictDetailed(0x1000);
-    EXPECT_EQ(detail.bank, YagsPredictor::kNotTakenCache);
-    EXPECT_FALSE(detail.taken);
+    EXPECT_EQ(servingTable(predictor, 0x1000),
+              YagsPredictor::kNotTakenCache);
+    EXPECT_FALSE(predictor.predict(0x1000));
 }
 
 TEST(Yags, NoAllocationWhenChoiceCorrect)
@@ -60,8 +75,7 @@ TEST(Yags, NoAllocationWhenChoiceCorrect)
     for (int i = 0; i < 6; ++i)
         predictor.update(0x1000, true);
     // Outcome agrees with the bias: no exception entry is created.
-    const PredictionDetail detail = predictor.predictDetailed(0x1000);
-    EXPECT_EQ(detail.bank, YagsPredictor::kChoiceBank);
+    EXPECT_EQ(servingTable(predictor, 0x1000), kChoiceTable);
 }
 
 TEST(Yags, TagsSeparateAliasedBranches)
@@ -120,9 +134,8 @@ TEST(Yags, ResetClearsCaches)
         predictor.update(0x1000, true);
     predictor.update(0x1000, false);
     predictor.reset();
-    const PredictionDetail detail = predictor.predictDetailed(0x1000);
-    EXPECT_EQ(detail.bank, YagsPredictor::kChoiceBank);
-    EXPECT_TRUE(detail.taken);
+    EXPECT_EQ(servingTable(predictor, 0x1000), kChoiceTable);
+    EXPECT_TRUE(predictor.predict(0x1000));
 }
 
 TEST(Yags, DetailInRange)
@@ -135,10 +148,9 @@ TEST(Yags, DetailInRange)
     YagsPredictor predictor(cfg);
     std::uint64_t pc = 0x400000;
     for (int i = 0; i < 400; ++i) {
-        const PredictionDetail detail = predictor.predictDetailed(pc);
-        EXPECT_TRUE(detail.usesCounter);
-        EXPECT_LT(detail.counterId, predictor.directionCounters());
-        predictor.update(pc, (i % 7) < 4);
+        LastCounterHook served;
+        predictor.stepFast(pc, (i % 7) < 4, served);
+        EXPECT_LT(served.id, predictor.directionCounters());
         pc += 4 * ((i % 11) + 1);
     }
 }

@@ -57,6 +57,31 @@ TEST(PackedTrace, KeepsOnlyConditionals)
     EXPECT_EQ(packed.takenCount(), 2u);
 }
 
+TEST(PackedTrace, ReaderChunksConcatenateToTheWholePack)
+{
+    // 150 conditionals with a non-conditional after every third:
+    // chunks of 64 continue where the last stopped and together
+    // equal the whole trace's pack.
+    MemoryTrace trace;
+    for (std::uint64_t i = 0; i < 150; ++i) {
+        trace.append(makeRecord(0x1000 + 4 * i, i % 3 == 0));
+        if (i % 3 == 2)
+            trace.append(makeRecord(0x9000, true, BranchType::Call));
+    }
+    const PackedTrace whole(trace);
+    auto reader = trace.reader();
+    std::size_t next = 0;
+    for (const std::size_t expected : {64u, 64u, 22u, 0u}) {
+        const PackedTrace chunk(reader, 64);
+        ASSERT_EQ(chunk.size(), expected);
+        for (std::size_t i = 0; i < chunk.size(); ++i, ++next) {
+            EXPECT_EQ(chunk.pc(i), whole.pc(next));
+            EXPECT_EQ(chunk.taken(i), whole.taken(next));
+        }
+    }
+    EXPECT_EQ(next, whole.size());
+}
+
 TEST(PackedTrace, BitmapRoundTripsAcrossWordBoundaries)
 {
     // 150 conditionals spans three 64-bit bitmap words; an
