@@ -283,13 +283,14 @@ main(int argc, char **argv)
                  << packed.size() << " conditionals");
 
     // One representative configuration per kernel-eligible kind,
-    // matching perf_predictors' sizes.
+    // matching perf_predictors' sizes; the perceptron's is the
+    // scheme comparison's largest.
     const std::vector<std::string> configs = {
         "bimodal:n=12",  "gshare:n=12",      "bimode:d=11",
         "agree:n=12",    "gskew:n=11",       "yags:c=12,n=10",
         "tournament:n=11", "gag:h=12",       "gas:h=9,a=3",
         "pag:h=10,l=10", "pas:h=8,l=10,a=3",
-        "filter:n=12,h=8,b=10,k=3"};
+        "filter:n=12,h=8,b=10,k=3", "perceptron:n=9,h=21"};
 
     TextTable table;
     table.setColumns({"config", "predictor", "virtual Mbr/s",

@@ -14,8 +14,9 @@
  * classes — which are only known after the whole run — so it replays
  * the trace a second time against a reset predictor (all predictors
  * here are deterministic, so the replay reproduces the same counter
- * assignments). Predictors without a fast core (the static kinds,
- * perceptron) report no counters and are refused.
+ * assignments). The static kinds have no fast core, report no
+ * counters and are refused; the perceptron's counters are its
+ * perceptrons.
  */
 
 #ifndef BPSIM_ANALYSIS_BIAS_ANALYSIS_HH

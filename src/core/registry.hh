@@ -433,7 +433,7 @@ struct PerceptronEntry
     static constexpr const char *doc =
         "table-of-perceptrons predictor (Jimenez & Lin, HPCA 2001)";
     static constexpr const char *example = "perceptron:n=8,h=24";
-    static constexpr bool fastReplay = false;
+    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"n", true, "log2 of the perceptron table"},
         {"h", false, "global history bits == weights (default 24)"},
@@ -523,7 +523,7 @@ forEachPredictorEntry(F &&f)
  * resolve to the same instantiation; the first match wins.
  *
  * @return false, without calling @p f, when the predictor has no
- *         fast core (the static kinds, perceptron)
+ *         fast core (the static kinds)
  */
 template <typename F>
 bool

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "analysis/bias_analysis.hh"
+#include "campaign/campaign.hh"
+#include "core/factory.hh"
 #include "predictors/bimodal.hh"
 #include "predictors/gshare.hh"
-#include "predictors/perceptron.hh"
 #include "predictors/static_predictors.hh"
 #include "trace/memory_trace.hh"
+#include "trace/packed_trace.hh"
+#include "workload/generator.hh"
 
 namespace bpsim
 {
@@ -156,17 +159,52 @@ TEST(BiasAnalysis, RunIsIdempotent)
     EXPECT_EQ(analysis.result().branches, branches);
 }
 
+TEST(BiasAnalysis, PerceptronStreamsMatchTheCampaign)
+{
+    // The perceptron's fast core reports the serving perceptron, so
+    // the analysis splits its run into (branch, perceptron) streams
+    // like any counter table's.
+    WorkloadSpec spec;
+    spec.name = "bias-perceptron";
+    spec.suite = "test";
+    spec.staticBranches = 200;
+    spec.dynamicBranches = 30'000;
+    spec.seed = 41;
+    const MemoryTrace trace = generateWorkloadTrace(spec);
+    const PackedTrace packed(trace);
+    const std::string config = "perceptron:n=5,h=12";
+
+    Campaign campaign;
+    campaign.addJob(config, BenchmarkTrace{spec.name, &trace, &packed});
+    const std::vector<JobResult> results = campaign.run(1);
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_TRUE(results[0].ok()) << results[0].error;
+
+    const PredictorPtr predictor = makePredictor(config);
+    auto reader = trace.reader();
+    BiasAnalysis analysis(*predictor, reader);
+    analysis.run();
+    EXPECT_EQ(analysis.result().mispredictions,
+              results[0].result.mispredictions);
+    EXPECT_EQ(analysis.result().branches, results[0].result.branches);
+
+    std::uint64_t executions = 0, mispredictions = 0;
+    for (const StreamStats *stream : analysis.streams().allStreams()) {
+        EXPECT_LT(stream->counterId, predictor->directionCounters());
+        executions += stream->count;
+        mispredictions += stream->mispredictions;
+    }
+    EXPECT_EQ(executions, results[0].result.branches);
+    EXPECT_EQ(mispredictions, results[0].result.mispredictions);
+}
+
 TEST(BiasAnalysisDeath, RequiresCounters)
 {
-    // Static kinds have no counters; perceptron has no fast core to
-    // report them.
+    // Static kinds have no counters.
     MemoryTrace trace;
     auto reader = trace.reader();
     AlwaysTakenPredictor predictor;
     EXPECT_EXIT((BiasAnalysis{predictor, reader}),
-                ::testing::ExitedWithCode(1), "exposes none");
-    PerceptronPredictor perceptron(PerceptronConfig{});
-    EXPECT_EXIT((BiasAnalysis{perceptron, reader}),
                 ::testing::ExitedWithCode(1), "exposes none");
 }
 

@@ -310,7 +310,7 @@ TEST(CampaignScheduler, UnfusedFastKindsStillRunTheSoloKernel)
     const MemoryTrace trace = mixedTrace(20'000, 5);
     const PackedTrace packed(trace);
     const std::vector<std::string> configs = {
-        "gshare:n=8", "gshare:n=9", "bimode:d=7", "perceptron:n=5,h=12"};
+        "gshare:n=8", "gshare:n=9", "bimode:d=7", "btfn:l=6"};
     CampaignScheduler scheduler(
         CampaignScheduler::Options{2, false, 0, true});
     Sink sink;

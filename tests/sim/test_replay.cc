@@ -111,12 +111,13 @@ TEST(ReplayCoverage, FastReplayKindsAreFactoryKinds)
                   kinds.end());
         fast += info.fastReplay ? 1 : 0;
     }
-    // The static predictors and perceptron stay on the virtual loop;
-    // everything else runs on the kernel.
-    EXPECT_EQ(fast, kinds.size() - 4);
+    // The static predictors stay on the virtual loop; everything
+    // else runs on the kernel.
+    EXPECT_EQ(fast, kinds.size() - 3);
     EXPECT_TRUE(hasFastReplay("filter"));
     EXPECT_TRUE(hasFastReplay("gag"));
-    EXPECT_FALSE(hasFastReplay("perceptron"));
+    EXPECT_TRUE(hasFastReplay("perceptron"));
+    EXPECT_FALSE(hasFastReplay("btfn"));
     EXPECT_FALSE(hasFastReplay("no-such-kind"));
 }
 
@@ -255,8 +256,7 @@ TEST(ReplayCampaign, PackedAndUnpackedCampaignsSerializeIdentically)
     ASSERT_NE(benchmarks[0].packed, nullptr);
 
     const std::vector<std::string> configs = {
-        "bimode:d=7", "gshare:n=8", "perceptron:n=5,h=12",
-        "not-a-kind"};
+        "bimode:d=7", "gshare:n=8", "btfn:l=6", "not-a-kind"};
 
     Campaign packed_campaign;
     packed_campaign.addGrid(configs, benchmarks);

@@ -97,6 +97,10 @@ const std::map<std::string, std::vector<std::string>> kBankSpecs = {
                     "tournament:n=8"}},
     {"filter", {"filter:n=6,h=4,b=6,k=2", "filter:n=8,h=8,b=8,k=3",
                 "filter:n=10,h=5,b=7,k=6"}},
+    // Rows of one, two and three 16-input pairs (h + 1 = 8, 13, 22,
+    // 34) and a 16-bit weight lane.
+    {"perceptron", {"perceptron:n=4,h=7", "perceptron:n=5,h=12",
+                    "perceptron:n=6,h=33,w=4", "perceptron:n=3,h=21,w=16"}},
 };
 
 TEST(BankCoverage, CoversEveryFastReplayKind)
@@ -114,8 +118,9 @@ TEST(BankCoverage, FastReplayKindIntrospection)
 {
     EXPECT_EQ(fastReplayKind("gshare:n=8,h=4"), "gshare");
     EXPECT_EQ(fastReplayKind("bimode:d=7"), "bimode");
+    EXPECT_EQ(fastReplayKind("perceptron:n=5,h=12"), "perceptron");
     // Parseable but no bank kernel.
-    EXPECT_EQ(fastReplayKind("perceptron:n=5,h=12"), "");
+    EXPECT_EQ(fastReplayKind("btfn:l=6"), "");
     EXPECT_EQ(fastReplayKind("taken"), "");
     // Unparseable.
     EXPECT_EQ(fastReplayKind("gshare:n=notanumber"), "");
@@ -382,7 +387,7 @@ TEST(BankKernel, SingleLaneIsTimedAlone)
 
 TEST(BankKernel, RefusesUnknownKindUntouched)
 {
-    PredictorPtr predictor = makePredictor("perceptron:n=5,h=12");
+    PredictorPtr predictor = makePredictor("btfn:l=6");
     std::vector<BranchPredictor *> bank = {predictor.get()};
     std::vector<SimResult> results;
     EXPECT_FALSE(replayKernelBankAny(bank, sharedPacked(), {}, results));
@@ -457,7 +462,7 @@ TEST(BankCampaign, FusedMatchesUnfusedByteForByte)
     // error.
     const std::vector<std::string> configs = {
         "gshare:n=6,h=3",  "gshare:n=8,h=4", "gshare:n=10,h=5",
-        "bimode:d=7",      "perceptron:n=5,h=12",
+        "bimode:d=7",      "btfn:l=6",
         "filter:n=8,h=8,b=8,k=3", "filter:n=6,h=4,b=6,k=2",
         "gag:h=8",         "gag:h=10",
         "gshare:n=oops",
