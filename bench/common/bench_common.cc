@@ -16,6 +16,9 @@ void
 addCommonOptions(ArgParser &args)
 {
     CommonOptions::declare(args);
+    args.addOption("kernel-tier", "auto",
+                   "banked replay kernel backend (auto, scalar, neon, "
+                   "avx2, avx512); counts are identical on every tier");
 }
 
 std::uint64_t
@@ -23,9 +26,10 @@ applyCommonOptions(const ArgParser &args)
 {
     const CommonOptions opts = CommonOptions::fromArgs(args);
     setVerbose(opts.verbose);
+    const std::string name = args.get("kernel-tier");
     KernelTier tier = KernelTier::Auto;
-    if (!parseKernelTier(opts.kernelTier, tier)) {
-        BPSIM_WARN("--kernel-tier '" << opts.kernelTier
+    if (!parseKernelTier(name, tier)) {
+        BPSIM_WARN("--kernel-tier '" << name
                    << "' is not a tier name (auto, scalar, neon, "
                    << "avx2, avx512); using auto");
         tier = KernelTier::Auto;

@@ -41,7 +41,8 @@
 namespace bpsim::bench
 {
 
-/** Declares the common options on @p args. */
+/** Declares the common options on @p args, plus --kernel-tier,
+ *  which only the bench drivers apply (applyCommonOptions()). */
 void addCommonOptions(ArgParser &args);
 
 /** Applies --verbose and --kernel-tier; returns the --quick

@@ -19,8 +19,10 @@
  *                  two-gather vector path
  *   scheme-comparison  the §3 cross-scheme shape: two sizes of every
  *                  de-aliasing scheme (bimode, agree, gskew, yags,
- *                  filter, tournament) in one grid, so every
- *                  multi-read kernel fuses and runs in one campaign
+ *                  filter, tournament) in one grid, so every scheme
+ *                  fuses in one campaign: two-lane banks, bi-mode's
+ *                  on the vector tiers and the rest on the scalar
+ *                  bank
  *
  * Each shape is timed best-of-N with fusion off and then with fusion
  * on once per available kernel tier (sim/simd/kernel_tier.hh), so
@@ -164,8 +166,7 @@ main(int argc, char **argv)
 
         // The §3 cross-scheme shape: two sizes of every de-aliasing
         // scheme in one grid. The campaign fuses each kind into its
-        // own bank, so one scenario covers every multi-read vector
-        // kernel (two-gather and three-gather alike) back to back.
+        // own two-lane bank; only bi-mode's takes a vector tier.
         Scenario schemes;
         schemes.name = "scheme-comparison";
         schemes.configs = {

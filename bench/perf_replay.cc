@@ -15,9 +15,10 @@
  *
  * A second section times the banked fused kernel
  * (replayKernelBank()) per kernel tier: a 16-lane mixed-size bank of
- * each vector-eligible kind runs once per tier this binary/CPU
- * offers (sim/simd/kernel_tier.hh), reporting lane-throughput
- * (branches x lanes / pass time) with the scalar bank as baseline.
+ * each vector-eligible kind (gshare, bimode) runs once per tier this
+ * binary/CPU offers (sim/simd/kernel_tier.hh), reporting
+ * lane-throughput (branches x lanes / pass time) with the scalar
+ * bank as baseline.
  * Counts must be bit-identical across tiers, enforced the same way.
  *
  * --baseline FILE turns the run into a regression guard: every
@@ -74,35 +75,13 @@ struct BankScenario
 constexpr std::size_t kMixedBankLanes = 16;
 
 const std::vector<BankScenario> kBankScenarios = {
-    {"bimodal",
-     {"bimodal:n=10", "bimodal:n=11", "bimodal:n=12", "bimodal:n=13"}},
+    // The two kinds with a vectorized bank (simd_bank.hh), at the
+    // Figure 2/3 sweep sizes the campaigns actually fuse.
     {"gshare",
      {"gshare:n=10,h=10", "gshare:n=11,h=8", "gshare:n=12,h=12",
       "gshare:n=13,h=9"}},
-    {"gag", {"gag:h=10", "gag:h=11", "gag:h=12", "gag:h=13"}},
-    {"gas", {"gas:h=8,a=3", "gas:h=9,a=3", "gas:h=10,a=2"}},
-    {"pag", {"pag:h=8,l=10", "pag:h=10,l=10", "pag:h=12,l=8"}},
-    {"pas", {"pas:h=6,l=10,a=4", "pas:h=8,l=10,a=3", "pas:h=8,l=8,a=4"}},
-    // Two-gather kinds (choice arena + direction bank, simd_bank.hh):
-    // the paper's own predictor and agree, at the Figure 2/3 sweep
-    // sizes the campaigns actually fuse.
     {"bimode", {"bimode:d=10", "bimode:d=11", "bimode:d=12",
                 "bimode:d=13"}},
-    {"agree", {"agree:n=10,h=10,b=10", "agree:n=11,h=8,b=11",
-               "agree:n=12,h=12,b=12"}},
-    // Multi-read kinds (simd_kernel.hh): tournament's meta-selected
-    // component pair, gskew's three skew-hashed gathers plus majority
-    // vote, yags' tagged exception-cache probe, and filter's
-    // run-length PHT bypass — the heaviest per-branch kernels, where
-    // the lane axis pays the most.
-    {"tournament", {"tournament:n=10", "tournament:n=11",
-                    "tournament:n=12"}},
-    {"gskew", {"gskew:n=10,h=10", "gskew:n=11,h=8",
-               "gskew:n=12,h=12"}},
-    {"yags",
-     {"yags:c=10,n=8", "yags:c=11,n=9", "yags:c=12,n=10"}},
-    {"filter", {"filter:n=10,h=8,b=10,k=3", "filter:n=12,h=12,b=12,k=4",
-                "filter:n=11,h=9,b=11,k=6"}},
 };
 
 /** Best-of-N banked pass of @p scenario on @p tier; returns the
@@ -282,9 +261,8 @@ main(int argc, char **argv)
     BPSIM_INFORM("timing trace: " << trace.size() << " records, "
                  << packed.size() << " conditionals");
 
-    // One representative configuration per kernel-eligible kind,
-    // matching perf_predictors' sizes; the perceptron's is the
-    // scheme comparison's largest.
+    // One representative configuration per kernel-eligible kind; the
+    // perceptron's is the scheme comparison's largest.
     const std::vector<std::string> configs = {
         "bimodal:n=12",  "gshare:n=12",      "bimode:d=11",
         "agree:n=12",    "gskew:n=11",       "yags:c=12,n=10",

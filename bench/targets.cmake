@@ -31,10 +31,3 @@ bpsim_bench(interference_taxonomy)
 bpsim_bench(scheme_comparison)
 bpsim_bench(perf_replay)
 bpsim_bench(perf_multiconfig)
-
-add_executable(perf_predictors bench/perf_predictors.cc)
-target_link_libraries(perf_predictors PRIVATE
-    bpsim_sim bpsim_core bpsim_predictors bpsim_workload bpsim_trace
-    bpsim_util benchmark::benchmark)
-set_target_properties(perf_predictors PROPERTIES
-    RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

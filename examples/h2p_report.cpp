@@ -15,7 +15,8 @@
  * Same-kind configurations fuse into one banked replay pass
  * (campaign fusion works for probed runs too), so a bimode size
  * ladder runs as one probed scalar bank; per-branch counts never
- * depend on --kernel-tier (CI byte-diffs scalar against auto).
+ * depend on the kernel tier (CI byte-diffs BPSIM_KERNEL_TIER=scalar
+ * against auto).
  *
  * Usage: h2p_report [--benchmark gcc]
  *                   [--predictors bimode:d=11;gshare:n=12]

@@ -106,14 +106,6 @@ class AgreePredictor : public FastPredictorBase<AgreePredictor>
 
     const AgreeConfig &config() const { return cfg; }
 
-    /** Mutable SoA views for the SIMD bank (sim/simd/simd_bank.cc),
-     *  which copies counters, biasing bits and history into vector
-     *  lane state and back. */
-    CounterTable &tableRef() { return counters; }
-    HistoryRegister &historyRef() { return history; }
-    std::vector<std::uint16_t> &biasBitRef() { return biasBit; }
-    std::vector<std::uint16_t> &biasValidRef() { return biasValid; }
-
   private:
     std::size_t
     counterIndexFor(std::uint64_t pc) const

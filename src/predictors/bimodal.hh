@@ -74,8 +74,8 @@ class BimodalPredictor : public FastPredictorBase<BimodalPredictor>
 
     unsigned indexBitCount() const { return indexBits; }
 
-    /** Mutable SoA view for the SIMD bank (sim/simd/simd_bank.cc),
-     *  which copies the table into a gather arena and back. */
+    /** Mutable view for composite predictors (the tournament steps
+     *  its bimodal component's table in place). */
     CounterTable &tableRef() { return counters; }
 
   private:

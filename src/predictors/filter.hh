@@ -149,16 +149,6 @@ class FilterPredictor : public FastPredictorBase<FilterPredictor>
     };
 
     const FilterConfig &config() const { return cfg; }
-    std::uint16_t runSaturationValue() const { return runSaturation; }
-
-    /** @name Mutable SoA views for the SIMD bank
-     *  (sim/simd/simd_bank.cc), which packs each filter entry into
-     *  one arena word (direction | runLength << 1) and back. */
-    /**@{*/
-    CounterTable &phtRef() { return pht; }
-    std::vector<FilterEntry> &filterRef() { return filter; }
-    HistoryRegister &historyRef() { return history; }
-    /**@}*/
 
   private:
     FilterConfig cfg;

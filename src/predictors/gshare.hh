@@ -88,7 +88,8 @@ class GsharePredictor : public FastPredictorBase<GsharePredictor>
 
     /** Mutable SoA views for the SIMD bank (sim/simd/simd_bank.cc),
      *  which copies counters and history into vector lane state and
-     *  back. */
+     *  back, and for the tournament, which steps its gshare component
+     *  in place. */
     CounterTable &tableRef() { return counters; }
     HistoryRegister &historyRef() { return history; }
 

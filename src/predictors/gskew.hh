@@ -135,14 +135,6 @@ class GskewPredictor : public FastPredictorBase<GskewPredictor>
 
     const GskewConfig &config() const { return cfg; }
 
-    /** @name Mutable SoA views for the SIMD bank
-     *  (sim/simd/simd_bank.cc), which copies the banks and history
-     *  into vector lane state and back. */
-    /**@{*/
-    CounterTable &bankRef(unsigned bank) { return banks[bank]; }
-    HistoryRegister &historyRef() { return history; }
-    /**@}*/
-
   private:
     /**
      * All three bank indices at once, deriving the shared address

@@ -107,14 +107,6 @@ class LocalHistoryTable
     unsigned entriesLog2() const { return indexBits; }
     unsigned bits() const { return widthBits; }
 
-    /**
-     * Raw register storage for the SIMD bank builders (sim/simd/),
-     * which copy the table into a uint32 gather arena and back.
-     * Writers must keep every element within the register mask.
-     */
-    const std::uint64_t *data() const { return table.data(); }
-    std::uint64_t *data() { return table.data(); }
-
     std::uint64_t
     storageBits() const
     {

@@ -101,15 +101,8 @@ class TournamentPredictor : public FastPredictorBase<TournamentPredictor>
         return use_second ? p1 : p0;
     }
 
-    /** @name Mutable SoA views for the SIMD bank
-     *  (sim/simd/simd_bank.cc), which copies tables and history into
-     *  vector lane state and back. */
-    /**@{*/
+    /** Mutable meta-table view for tests. */
     CounterTable &metaTableRef() { return meta; }
-    unsigned metaIndexBitCount() const { return metaIndexBits; }
-    BimodalPredictor &bimodalRef() { return bimodal; }
-    GsharePredictor &gshareRef() { return gshare; }
-    /**@}*/
 
   private:
     std::size_t

@@ -109,18 +109,6 @@ class TwoLevelPredictor : public FastPredictorBase<TwoLevelPredictor>
 
     const TwoLevelConfig &config() const { return cfg; }
 
-    /** Mutable SoA views for the SIMD bank (sim/simd/simd_bank.cc),
-     *  which copies counters and first-level history into vector
-     *  lane state and back. localHistoryRef() is null for Global
-     *  scope. */
-    CounterTable &tableRef() { return counters; }
-    HistoryRegister &globalHistoryRef() { return globalHistory; }
-    LocalHistoryTable *
-    localHistoryRef()
-    {
-        return localHistory ? &*localHistory : nullptr;
-    }
-
   private:
     std::uint64_t
     historyFor(std::uint64_t pc) const

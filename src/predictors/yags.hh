@@ -129,18 +129,6 @@ class YagsPredictor : public FastPredictorBase<YagsPredictor>
 
     const YagsConfig &config() const { return cfg; }
 
-    /** @name Mutable SoA views for the SIMD bank
-     *  (sim/simd/simd_bank.cc), which packs each cache entry into
-     *  one arena word (counter | tag << 8 | valid << 24) and back. */
-    /**@{*/
-    CounterTable &choiceTableRef() { return choice; }
-    std::vector<CacheEntry> &cacheRef(std::uint32_t cache)
-    {
-        return caches[cache];
-    }
-    HistoryRegister &historyRef() { return history; }
-    /**@}*/
-
   private:
     struct Lookup
     {

@@ -56,23 +56,6 @@ struct Avx2Backend
     /** ~a & b. */
     static V andnot(V a, V b) { return _mm256_andnot_si256(a, b); }
     static V cmpgt(V a, V b) { return _mm256_cmpgt_epi32(a, b); }
-    static V cmpeq(V a, V b) { return _mm256_cmpeq_epi32(a, b); }
-    static V mullo(V a, V b) { return _mm256_mullo_epi32(a, b); }
-    /** High 32 bits of the unsigned 32x32 product. vpmuludq covers
-     *  the even lanes; the odd lanes are shifted down and multiplied
-     *  the same way, then the two 64-bit halves recombine. */
-    static V
-    mulhi(V a, V b)
-    {
-        const V even = _mm256_mul_epu32(a, b);
-        const V odd = _mm256_mul_epu32(_mm256_srli_epi64(a, 32),
-                                       _mm256_srli_epi64(b, 32));
-        return _mm256_or_si256(
-            _mm256_srli_epi64(even, 32),
-            _mm256_and_si256(
-                odd, _mm256_set1_epi64x(
-                         static_cast<long long>(0xFFFFFFFF00000000ULL))));
-    }
     /** m ? b : a; cmpgt masks are all-ones per 32-bit lane, so the
      *  byte-granular blend is exact. */
     static V blend(V a, V b, V m) { return _mm256_blendv_epi8(a, b, m); }

@@ -65,27 +65,6 @@ struct Avx512Backend
         return _mm512_maskz_set1_epi32(_mm512_cmpgt_epi32_mask(a, b),
                                        -1);
     }
-    static V
-    cmpeq(V a, V b)
-    {
-        return _mm512_maskz_set1_epi32(_mm512_cmpeq_epi32_mask(a, b),
-                                       -1);
-    }
-    static V mullo(V a, V b) { return _mm512_mullo_epi32(a, b); }
-    /** High 32 bits of the unsigned 32x32 product, via the even/odd
-     *  vpmuludq split (see the AVX2 backend). */
-    static V
-    mulhi(V a, V b)
-    {
-        const V even = _mm512_mul_epu32(a, b);
-        const V odd = _mm512_mul_epu32(_mm512_srli_epi64(a, 32),
-                                       _mm512_srli_epi64(b, 32));
-        return _mm512_or_si512(
-            _mm512_srli_epi64(even, 32),
-            _mm512_and_si512(
-                odd, _mm512_set1_epi64(
-                         static_cast<long long>(0xFFFFFFFF00000000ULL))));
-    }
     /** m ? b : a with a vector mask (m is all-ones per lane). */
     static V
     blend(V a, V b, V m)

@@ -7,53 +7,25 @@
  * structurally uniform predictors into one gather-friendly arena —
  * every lane's counter table bit-packed back to back into a shared
  * uint32 word array — plus per-lane constant vectors describing each
- * lane's index function. One unified index formula covers the whole
- * eligible family:
+ * lane's index function. Two kinds flatten, the two the paper sweeps
+ * wide (the size ladders, the history sweep and the bi-mode
+ * ablation); both index their direction counters as
  *
- *     idx = ((addr & addrMask) << histShift) ^ (hist & histMask)
+ *     idx = (addr & addrMask) ^ (hist & histMask)
  *
- *   bimodal          addrMask = 2^n-1, histShift = 0, histMask = 0
- *   gshare           addrMask = 2^n-1, histShift = 0, histMask = 2^m-1
- *   GAg/GAs          addrMask = 2^a-1, histShift = h, histMask = 2^h-1
- *   PAg/PAs          as GAs, with hist gathered from a per-address
- *                    uint32 history arena (localHistory = true)
+ *   gshare   addrMask = 2^n-1, histMask = 2^m-1
+ *   bimode   addrMask = 2^d-1 and histMask as gshare, plus a
+ *            choice-counter read at addr & choiceAddrMask whose sign
+ *            blends bankStride into the direction base — the
+ *            taken/not-taken banks sit back to back in the lane's
+ *            counter region — with the paper's partial-update and
+ *            choice-exception policies expressed as branchless
+ *            write-back masks (bothBanksMask, alwaysChoiceMask)
  *
- * (For the two-level family the scalar code computes (pht << h) |
- * hist; the history occupies exactly the low h bits, so or and xor
- * agree bit for bit.)
- *
- * The choice-based (multi-read) kinds add one or two pc-indexed
- * arena reads in front of the direction read (choiceKind selects the
- * flavor, see SimdChoiceKind):
- *
- *   bimode           a choice-counter read at addr & choiceAddrMask
- *                    whose sign blends bankStride into the direction
- *                    base — the taken/not-taken banks sit back to
- *                    back in the lane's counter region — with the
- *                    paper's partial-update and choice-exception
- *                    policies expressed as branchless write-back
- *                    masks (bothBanksMask, alwaysChoiceMask)
- *   agree            a biasing-bit read (valid + bias packed into
- *                    one choice word) that xnor-flips the direction
- *                    counter's agree prediction, with the first-use
- *                    bias capture as a masked choice write-back
- *   tournament       three gathers: a meta counter (choice arena)
- *                    selects per lane between a bimodal counter (a
- *                    second pc-indexed read, aux* constants) and a
- *                    gshare counter from the packed direction arena
- *   gskew            three skew-hashed direction-bank gathers (the
- *                    banks sit back to back at bankStride spacing)
- *                    plus a vectorized 2-of-3 majority vote; the
- *                    e-gskew partial-update policy and its ablation
- *                    are write-back masks (bothBanksMask)
- *   yags             a choice gather steering a tagged
- *                    exception-cache probe: each cache entry packs
- *                    valid/tag/counter into one arena word, the hit
- *                    test is a gathered tag compare, and allocation
- *                    is a masked whole-word write-back
- *   filter           a run-length filter word (direction + counter,
- *                    choice arena) gates a gshare-indexed PHT read;
- *                    saturation/reset of the run is branchless masks
+ * Every other fast kind falls to the buildSimdBank() catch-all and
+ * runs the lane-major scalar bank, which still fuses it: its banks
+ * are two to four lanes wide in practice, where a vector pass does
+ * not beat the scalar one.
  *
  * Lanes are vectorized, branches stay serial: for each trace branch
  * the kernel gathers every lane's counter, predicts, saturates and
@@ -63,9 +35,7 @@
  *
  * buildSimdBank() returns std::nullopt whenever the bank shape is
  * outside what 32-bit gather indices (or the formula above) can
- * express; the caller then falls back to the scalar bank. The
- * catch-all template makes ineligible predictor kinds compile to
- * that same fallback.
+ * express; the caller then falls back to the scalar bank.
  */
 
 #ifndef BPSIM_SIM_SIMD_SIMD_BANK_HH
@@ -81,63 +51,26 @@
 namespace bpsim
 {
 
-class AgreePredictor;
 class BiModePredictor;
-class BimodalPredictor;
-class FilterPredictor;
 class GsharePredictor;
-class GskewPredictor;
-class TournamentPredictor;
-class TwoLevelPredictor;
-class YagsPredictor;
 
 /**
- * Multi-read kernel flavor of a flattened bank: which choice-arena
- * semantics the kernel applies around the direction-bank read.
+ * Kernel flavor of a flattened bank: whether a choice-arena read
+ * steers the direction-bank read.
  */
 enum class SimdChoiceKind : std::uint8_t
 {
-    /** No choice stage — the single-gather family. */
+    /** No choice stage: gshare's single gather. */
     None,
     /** Bi-mode: a pc-indexed choice counter selects between two
      *  direction banks sharing one gshare index. */
     BiMode,
-    /** Agree: a pc-indexed biasing bit (with first-use capture)
-     *  flips the direction counter's agree prediction. */
-    Agree,
-    /** Tournament: a pc-indexed meta counter selects between a
-     *  pc-indexed bimodal counter (aux* constants) and a packed
-     *  gshare counter — three gathers, one blend. */
-    Tournament,
-    /** gskew: three skew-hashed gathers from back-to-back direction
-     *  banks, majority vote, partial-update write-back masks. */
-    Gskew,
-    /** YAGS: a choice gather steering a tagged exception-cache probe
-     *  (valid/tag/counter packed per arena word) with a compare-mask
-     *  hit test and masked allocation write-backs. */
-    Yags,
-    /** Filter: a pc-indexed run-length word gates a gshare-indexed
-     *  PHT read; saturate/reset are branchless masks. */
-    Filter,
 };
 
 /** Widest group any backend steps at once (AVX-512, 16 lanes).
  *  Per-lane arrays are padded to a multiple of this so every backend
  *  can issue full-width loads of lane constants. */
 constexpr std::size_t kMaxSimdGroupLanes = 16;
-
-/** @name YAGS arena-word layout
- *  One exception-cache entry packs into one (unpacked) arena word:
- *  the counter in bits 0..7, the partial tag in bits 8..23, the
- *  valid flag in bit 24. Counters are <= 8 bits and tags <= 16 bits
- *  by construction (yags.hh), so the fields never overlap. Shared
- *  between the builder (simd_bank.cc) and the kernel
- *  (simd_kernel.hh). */
-/**@{*/
-constexpr std::uint32_t kYagsCounterMask = 0xFFu;
-constexpr std::uint32_t kYagsTagShift = 8;
-constexpr std::uint32_t kYagsValidBit = std::uint32_t{1} << 24;
-/**@}*/
 
 /**
  * Zero elements inserted before every lane's region in the shared
@@ -167,34 +100,18 @@ struct SimdBankState
     /** Active lanes (the bank size); padding lanes beyond this are
      *  never stored back. */
     std::size_t lanes = 0;
-    /** True for the per-address-history family (PAg/PAs): hist is
-     *  gathered from localHist instead of carried in a register. */
-    bool localHistory = false;
-    /** Which choice-arena stage the kernel runs before the direction
-     *  read (None for the single-gather family). */
+    /** Which kernel flavor runs: None for gshare, BiMode for bimode. */
     SimdChoiceKind choiceKind = SimdChoiceKind::None;
     /** Bi-mode only: true when any lane runs the partialUpdate=false
      *  ablation, selecting the kernel variant that also steps the
      *  unselected bank (gated per lane by bothBanksMask). */
     bool updateBothBanks = false;
-    /**
-     * True when counters is bit-packed (see below). History-indexed
-     * banks pack: their index streams are spread by the history
-     * bits, so the footprint cut dominates. Bimodal banks do not:
-     * the pc-only index stream re-touches the same packed word on
-     * nearby branches, and the resulting scatter-to-gather
-     * forwarding stalls cost more than the smaller arena saves.
-     */
-    bool packed = false;
 
     /**
-     * All lanes' counter tables as uint32 words, each lane's run
-     * preceded by a kSimdLaneStagger gap (see above).
+     * All lanes' counter tables, bit-packed into uint32 words, each
+     * lane's run preceded by a kSimdLaneStagger gap (see above).
      *
-     * Unpacked (packed == false): one counter per word at
-     * laneBase[l] + idx.
-     *
-     * Packed: counter idx of lane l lives in word
+     * Counter idx of lane l lives in word
      * laneBase[l] + (idx >> wordShift[l]), in the field of
      * fieldMask[l] starting at bit
      * (idx & slotIdxMask[l]) << slotShift[l]. Slots are the power of
@@ -204,26 +121,12 @@ struct SimdBankState
      * out-of-L1 banks).
      */
     std::vector<std::uint32_t> counters;
-    /** All lanes' per-address history registers (localHistory only),
-     *  lane l at [localBase[l], localBase[l] + localMask[l] + 1),
-     *  staggered like the counter arena. */
-    std::vector<std::uint32_t> localHist;
     /**
-     * Choice-stage arena (choiceKind != None), staggered like the
-     * counter arena but always one entry per word: the choice/bias
-     * tables are pc-indexed, so nearby branches re-touch the same
-     * entry and a packed layout would trade its footprint cut for
-     * scatter-to-gather forwarding stalls (the same trade that keeps
-     * bimodal unpacked).
-     *
-     * BiMode/Yags: the lane's choice counters at choiceBase[l] + idx.
-     * Agree: bit 0 = bias valid, bit 1 = biasing bit (0 = branch not
-     * yet seen).
-     * Tournament: the meta counters at choiceBase[l] + idx AND the
-     * bimodal component's counters at auxBase[l] + idx — two
-     * pc-indexed streams sharing the arena.
-     * Filter: bit 0 = run direction, bits 1.. = the saturating run
-     * length (saturation value in choiceMaxValue).
+     * Bi-mode's choice counters, staggered like the counter arena but
+     * one counter per word (lane l's at choiceBase[l] + idx): the
+     * choice table is pc-indexed, so nearby branches re-touch the
+     * same entry, and a packed layout would trade its footprint cut
+     * for scatter-to-gather forwarding stalls.
      */
     std::vector<std::uint32_t> choiceArena;
 
@@ -231,60 +134,31 @@ struct SimdBankState
     /**@{*/
     std::vector<std::uint32_t> laneBase;   ///< lane's word offset in counters
     std::vector<std::uint32_t> addrMask;   ///< address bits kept
-    std::vector<std::uint32_t> histShift;  ///< address shift (two-level)
     std::vector<std::uint32_t> histMask;   ///< history register mask
-    std::vector<std::uint32_t> localBase;  ///< lane's offset in localHist
-    std::vector<std::uint32_t> localMask;  ///< per-address index mask
     std::vector<std::uint32_t> maxValue;   ///< counter saturation value
     std::vector<std::uint32_t> threshold;  ///< predict taken when >
-    std::vector<std::uint32_t> wordShift;  ///< log2 counters per word (packed)
-    std::vector<std::uint32_t> slotIdxMask; ///< counters per word - 1 (packed)
-    std::vector<std::uint32_t> slotShift;  ///< log2 slot width in bits (packed)
-    std::vector<std::uint32_t> fieldMask;  ///< slot-wide value mask (packed)
-    /** @name Choice-stage constants (choiceKind != None) */
+    std::vector<std::uint32_t> wordShift;  ///< log2 counters per word
+    std::vector<std::uint32_t> slotIdxMask; ///< counters per word - 1
+    std::vector<std::uint32_t> slotShift;  ///< log2 slot width in bits
+    std::vector<std::uint32_t> fieldMask;  ///< slot-wide value mask
+    /** @name Choice-stage constants (bimode) */
     std::vector<std::uint32_t> choiceBase; ///< lane's offset in choiceArena
     std::vector<std::uint32_t> choiceAddrMask; ///< choice-index pc mask
-    std::vector<std::uint32_t> choiceMaxValue; ///< choice saturation (bimode)
-    std::vector<std::uint32_t> choiceThreshold; ///< bank select when > (bimode)
-    /** Direction-arena words between the lane's adjacent banks
-     *  (bimode: not-taken → taken; gskew: bank i → bank i+1; yags:
-     *  not-taken cache → taken cache): a selected bank's base is
-     *  laneBase plus a multiple of bankStride. */
+    std::vector<std::uint32_t> choiceMaxValue; ///< choice saturation
+    std::vector<std::uint32_t> choiceThreshold; ///< bank select when >
+    /** Counter-arena words from the lane's not-taken bank to its
+     *  taken bank. */
     std::vector<std::uint32_t> bankStride;
-    /** All-ones on lanes running the alwaysUpdateChoice ablation
-     *  (bimode): disables the choice-exception write-back mask. */
+    /** All-ones on lanes running the alwaysUpdateChoice ablation:
+     *  disables the choice-exception write-back mask. */
     std::vector<std::uint32_t> alwaysChoiceMask;
-    /** All-ones on lanes running the partialUpdate=false ablation
-     *  (bimode, gskew): enables the unselected/dissenting-bank
-     *  write-back. */
+    /** All-ones on lanes running the partialUpdate=false ablation:
+     *  enables the unselected-bank write-back. */
     std::vector<std::uint32_t> bothBanksMask;
-    /** @name Second pc-indexed read (tournament's bimodal component) */
-    std::vector<std::uint32_t> auxBase;      ///< offset in choiceArena
-    std::vector<std::uint32_t> auxAddrMask;  ///< pc index mask
-    std::vector<std::uint32_t> auxMaxValue;  ///< counter saturation
-    std::vector<std::uint32_t> auxThreshold; ///< predict taken when >
-    /** @name Tagged-probe constants (yags) */
-    std::vector<std::uint32_t> tagShift; ///< addr right-shift for the tag
-    std::vector<std::uint32_t> tagMask;  ///< tag-field mask
-    /** @name Skew-hash constants (gskew) */
-    /** Mask of the wide (bankIndexBits + 8) address field the skew
-     *  hashes mix; builders guarantee it fits 31 bits so the bank-2
-     *  add cannot carry past the 32-bit lane. */
-    std::vector<std::uint32_t> hashFieldMask;
-    /** Per-lane fold width (= bankIndexBits): the 64-bit product is
-     *  xor-folded in foldShift-bit chunks into addrMask. */
-    std::vector<std::uint32_t> foldShift;
     /**@}*/
 
-    /** gskew only: fold iterations covering the widest lane's 64-bit
-     *  product, max over lanes of ceil(64 / foldShift[l]); uniform
-     *  across the vector (narrow lanes fold zeros after their own
-     *  chunks run out). */
-    std::uint32_t foldRounds = 0;
-
     /** Global-history registers, live kernel state (updated per
-     *  branch, stored back to the predictors afterwards). Unused
-     *  when localHistory. */
+     *  branch, stored back to the predictors afterwards). */
     std::vector<std::uint32_t> hist;
 
     /** Per-lane misprediction counts over the measured region
@@ -303,26 +177,12 @@ struct SimdBankState
  * out of the predictors. The predictors themselves are not modified
  * until storeSimdBank(). Returns std::nullopt when the bank cannot
  * be expressed (arena over 2^31 elements, history wider than the
- * 32-bit lane math, mixed history scopes).
+ * 32-bit lane math).
  */
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<BimodalPredictor> &bank);
 std::optional<SimdBankState> buildSimdBank(
     std::vector<GsharePredictor> &bank);
 std::optional<SimdBankState> buildSimdBank(
-    std::vector<TwoLevelPredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
     std::vector<BiModePredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<AgreePredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<TournamentPredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<GskewPredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<YagsPredictor> &bank);
-std::optional<SimdBankState> buildSimdBank(
-    std::vector<FilterPredictor> &bank);
 
 namespace detail
 {
@@ -355,23 +215,9 @@ buildSimdBank(std::vector<Pred> &bank)
 /** Stores arena state back into the predictors a buildSimdBank()
  *  overload flattened; @p bank must be the same bank. */
 void storeSimdBank(const SimdBankState &state,
-                   std::vector<BimodalPredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
                    std::vector<GsharePredictor> &bank);
 void storeSimdBank(const SimdBankState &state,
-                   std::vector<TwoLevelPredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
                    std::vector<BiModePredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<AgreePredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<TournamentPredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<GskewPredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<YagsPredictor> &bank);
-void storeSimdBank(const SimdBankState &state,
-                   std::vector<FilterPredictor> &bank);
 
 template <typename Pred>
 void

@@ -62,19 +62,6 @@ struct NeonBackend
         return vcgtq_s32(vreinterpretq_s32_u32(a),
                          vreinterpretq_s32_u32(b));
     }
-    static V cmpeq(V a, V b) { return vceqq_u32(a, b); }
-    static V mullo(V a, V b) { return vmulq_u32(a, b); }
-    /** High 32 bits of the unsigned 32x32 product: widening multiply
-     *  per half, then narrow each 64-bit product by 32. */
-    static V
-    mulhi(V a, V b)
-    {
-        const uint64x2_t lo =
-            vmull_u32(vget_low_u32(a), vget_low_u32(b));
-        const uint64x2_t hi =
-            vmull_u32(vget_high_u32(a), vget_high_u32(b));
-        return vcombine_u32(vshrn_n_u64(lo, 32), vshrn_n_u64(hi, 32));
-    }
     /** m ? b : a (bitwise select; m is all-ones per lane). */
     static V blend(V a, V b, V m) { return vbslq_u32(m, b, a); }
     static V

@@ -186,9 +186,6 @@ CommonOptions::declare(ArgParser &args)
     args.addFlag("timing",
                  "include machine-dependent wall time / throughput in "
                  "JSON output");
-    args.addOption("kernel-tier", "auto",
-                   "banked replay kernel backend (auto, scalar, neon, "
-                   "avx2, avx512); counts are identical on every tier");
     declareTraceCache(args);
 }
 
@@ -220,8 +217,6 @@ CommonOptions::fromArgs(const ArgParser &args)
         opts.jobs = static_cast<unsigned>(args.getUint("jobs"));
     if (args.declared("trace-cache"))
         opts.traceCache = args.get("trace-cache");
-    if (args.declared("kernel-tier"))
-        opts.kernelTier = args.get("kernel-tier");
     return opts;
 }
 

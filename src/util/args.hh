@@ -116,10 +116,6 @@ struct CommonOptions
     unsigned jobs = 0;
     /** Raw --trace-cache value; resolve with resolveTraceStoreDir(). */
     std::string traceCache;
-    /** Raw --kernel-tier name; util cannot see the sim layer, so the
-     *  callers that can (bench_common's applyCommonOptions()) parse
-     *  it and install the process-wide override. */
-    std::string kernelTier = "auto";
 
     /** The --quick dynamic-count divisor (1 when off). */
     std::uint64_t quickDivisor() const { return quick ? 5 : 1; }

@@ -84,13 +84,13 @@ const std::map<std::string, std::vector<std::string>> kBankSpecs = {
     {"agree", {"agree:n=6,h=4,b=6", "agree:n=8,h=8,b=8",
                "agree:n=7,h=3,b=9"}},
     // The full-update ablation lane rides the same bank as canonical
-    // partial-update lanes, exercising the mixed per-lane
-    // bothBanksMask of the vectorized majority-vote kernel.
+    // partial-update lanes, so the scalar bank steps mixed update
+    // policies side by side.
     {"gskew", {"gskew:n=6,h=5", "gskew:n=7,h=7", "gskew:n=8,h=4",
                "gskew:n=7,h=6,partial=0"}},
     // t=2 leaves 4 distinct tags over a small cache, forcing constant
-    // tag conflicts so the miss/alloc path of the vectorized tagged
-    // probe is hammered rather than grazed.
+    // tag conflicts so the miss/alloc path of the tagged probe is
+    // hammered rather than grazed.
     {"yags", {"yags:c=7,n=5,t=5,h=5", "yags:c=8,n=6,t=6,h=6",
               "yags:c=6,n=5,t=2,h=4"}},
     {"tournament", {"tournament:n=6", "tournament:n=7",
@@ -264,11 +264,7 @@ INSTANTIATE_TEST_SUITE_P(AllFastKinds, BankEquivalence,
 bool
 kindHasSimdBank(const std::string &kind)
 {
-    return kind == "bimodal" || kind == "gshare" || kind == "gag" ||
-           kind == "gas" || kind == "pag" || kind == "pas" ||
-           kind == "bimode" || kind == "agree" ||
-           kind == "tournament" || kind == "gskew" ||
-           kind == "yags" || kind == "filter";
+    return kind == "gshare" || kind == "bimode";
 }
 
 /**
@@ -315,9 +311,10 @@ class TierMatrix
 /**
  * The tier matrix: every tier this binary can run here × every
  * fast-replay kind × lane counts around the vector widths (1 solo,
- * 7/9 straddling the 8-wide groups, 8 exact, 32 = the campaign
- * maximum spanning two 16-wide groups) must match the forced-scalar
- * oracle in every count, on both of the no-reset passes.
+ * 2 = the width served campaigns fuse most, 7/9 straddling the
+ * 8-wide groups, 8 exact, 32 = the campaign maximum spanning two
+ * 16-wide groups) must match the forced-scalar oracle in every
+ * count, on both of the no-reset passes.
  */
 TEST_P(TierMatrix, MatchesScalarOracleAtEveryLaneCount)
 {
@@ -325,8 +322,8 @@ TEST_P(TierMatrix, MatchesScalarOracleAtEveryLaneCount)
     const std::vector<std::string> &configs = GetParam().second;
 
     for (const std::size_t lanes :
-         {std::size_t{1}, std::size_t{7}, std::size_t{8},
-          std::size_t{9}, std::size_t{32}}) {
+         {std::size_t{1}, std::size_t{2}, std::size_t{7},
+          std::size_t{8}, std::size_t{9}, std::size_t{32}}) {
         const auto oracle =
             runTierPasses(kind, configs, lanes, KernelTier::Scalar);
 
