@@ -288,7 +288,7 @@ main(int argc, char **argv)
             return simulate(*predictor, reader);
         });
         // simulateAny() dispatches every one of these configs to the
-        // kernel (all kinds here satisfy hasFastReplay()).
+        // kernel (every registered kind has one).
         const SimResult kernel_best = bestOf(reps, [&] {
             predictor->reset();
             auto reader = trace.reader();

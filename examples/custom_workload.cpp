@@ -139,8 +139,8 @@ handBuiltProgram()
     TextTable table;
     table.setColumns({"predictor", "mispredict %"});
     for (const char *config :
-         {"taken", "bimodal:n=10", "gshare:n=10,h=4", "gshare:n=10",
-          "bimode:d=9", "pas:h=4,l=6,a=4"}) {
+         {"bimodal:n=10", "gshare:n=10,h=4", "gshare:n=10", "bimode:d=9",
+          "pas:h=4,l=6,a=4"}) {
         table.addRow({config,
                       TextTable::fixed(mispredictOn(trace, config), 3)});
     }

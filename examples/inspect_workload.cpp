@@ -2,9 +2,9 @@
  * @file
  * Workload inspector: prints the trace-level statistics of a
  * benchmark (static/dynamic counts, taken fraction, bias
- * distribution) and a panel of predictors from trivial static
- * baselines to an idealized per-branch oracle, bracketing where a
- * real predictor's error comes from.
+ * distribution), an idealized per-branch static oracle, and a panel
+ * of predictors from a bimodal table to the history-based schemes,
+ * bracketing where a real predictor's error comes from.
  *
  * Usage: inspect_workload [--benchmark gcc] [--size-bits 12]
  */
@@ -96,8 +96,6 @@ main(int argc, char **argv)
 
     std::cout << "\npredictor panel (n=" << n << "):\n";
     const std::vector<std::string> configs = {
-        "taken",
-        "nottaken",
         "bimodal:n=" + std::to_string(n),
         "gshare:n=" + std::to_string(n) + ",h=2",
         "gshare:n=" + std::to_string(n) + ",h=4",

@@ -37,7 +37,6 @@ Campaign::addJob(std::string configText, const BenchmarkTrace &benchmark,
     Job job;
     job.configText = std::move(configText);
     job.benchmark = benchmark.name;
-    job.trace = benchmark.trace;
     job.packed = benchmark.packed;
     job.simConfig = simConfig;
     return addJob(std::move(job));

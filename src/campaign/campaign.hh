@@ -8,16 +8,16 @@
  *
  *   1. declare the grid (addGrid()/addJob()); each cell is a Job —
  *      one factory configuration string run over one shared,
- *      immutable, pre-generated MemoryTrace;
+ *      immutable, pre-generated PackedTrace;
  *   2. run() executes the work on a pool of worker threads
- *      (generate once, simulate many: traces are read-only in
- *      simulate(), predictors are constructed per job);
+ *      (generate once, simulate many: traces are read-only in the
+ *      replay kernels, predictors are constructed per job);
  *   3. results come back as one JobResult per job, *in job order*,
  *      regardless of the thread schedule — runs with different
  *      `--jobs` values are bit-identical.
  *
  * The worker-pool work unit is a *benchmark group*, not a job: jobs
- * that replay the same PackedTrace with the same fast-replay kind
+ * that replay the same PackedTrace with the same kind
  * (core/factory.hh, fastReplayKind()) and compatible SimConfig are
  * fused into one banked kernel pass (sim/replay.hh,
  * replayKernelBankAny()) that streams the trace once for the whole
@@ -26,9 +26,12 @@
  * Per-branch tracking fuses too (the scalar bank runs with a
  * per-lane probe, sim/probe.hh), though only with jobs that also
  * track — the tracking flag is part of the fusion key. Everything
- * else — heterogeneous kinds, jobs without a packed trace, malformed
- * configs — runs alone, through the same batch runner with a batch
- * of one. Fusion changes wall time only: per-job counts,
+ * else — heterogeneous kinds, malformed configs — runs alone,
+ * through the same batch runner with a batch of one; a job without
+ * a packed trace completes with a per-job error. There is one replay
+ * path: every registered kind has a kernel, so no job falls back to
+ * the virtual simulate() loop. Fusion changes wall time only: per-job
+ * counts,
  * errors and emitted JSON are bit-identical to an unfused run
  * (enforced by tests/sim/test_replay_bank.cc), and setFusion(false)
  * runs every job alone, e.g. to time configurations in isolation.
@@ -70,14 +73,15 @@ namespace bpsim
 struct BenchmarkTrace
 {
     std::string name;
-    /** Trace to replay. Handles constructed from a raw pointer are
-     *  borrows (the pointee must outlive every run that uses it);
-     *  handles from TraceCache::handleFor()/resolveTraces() share
-     *  ownership and make any job lifetime safe. */
+    /** The records, for the readers that need them: the Section 4
+     *  analyses and trace statistics. Handles constructed from a raw
+     *  pointer are borrows (the pointee must outlive every run that
+     *  uses it); handles from TraceCache::handleFor()/resolveTraces()
+     *  share ownership and make any job lifetime safe. */
     TraceHandle trace = nullptr;
-    /** Packed form of the same trace for the devirtualized replay
-     *  kernel; null disables the fast path for jobs on this
-     *  benchmark. Ownership semantics as @ref trace. */
+    /** Packed form of the same trace, which campaign jobs replay;
+     *  jobs on a benchmark without one fail with a per-job error.
+     *  Ownership semantics as @ref trace. */
     PackedTraceHandle packed = nullptr;
 };
 
@@ -91,11 +95,9 @@ struct Job
     std::string configText;
     /** Benchmark name, for reporting. */
     std::string benchmark;
-    /** Shared immutable trace to replay (borrowed or owning; see
-     *  BenchmarkTrace::trace). */
-    TraceHandle trace = nullptr;
-    /** Packed trace for the fast replay path; may be null (the job
-     *  then always uses the virtual simulate() loop). */
+    /** Shared immutable packed trace to replay (borrowed or owning;
+     *  see BenchmarkTrace::trace). A job without one completes with
+     *  a per-job error. */
     PackedTraceHandle packed = nullptr;
     /** Per-job simulation options (warm-up, per-branch tracking). */
     SimConfig simConfig;
@@ -184,7 +186,7 @@ class Campaign
 };
 
 /** Runs one job synchronously: the one-job form of the scheduler's
- *  batch runner (a one-lane bank, else the virtual loop). */
+ *  batch runner (a one-lane bank). */
 JobResult runJob(const Job &job);
 
 /**

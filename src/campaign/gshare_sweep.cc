@@ -37,19 +37,6 @@ GshareSweepResult::best() const
 
 GshareSweepResult
 sweepGshare(unsigned indexBits,
-            const std::vector<const MemoryTrace *> &traces,
-            unsigned minHistory, unsigned workers)
-{
-    std::vector<BenchmarkTrace> benchmarks;
-    benchmarks.reserve(traces.size());
-    for (std::size_t b = 0; b < traces.size(); ++b)
-        benchmarks.push_back(
-            {"trace" + std::to_string(b), traces[b], {}});
-    return sweepGshare(indexBits, benchmarks, minHistory, workers);
-}
-
-GshareSweepResult
-sweepGshare(unsigned indexBits,
             const std::vector<BenchmarkTrace> &benchmarks,
             unsigned minHistory, unsigned workers)
 {

@@ -24,10 +24,10 @@ constexpr std::size_t kMaxBankLanes = 32;
 
 /**
  * Runs one batch of jobs sharing a bank key (takeBatch()), a batch of
- * one included: constructs every job's predictor, banks them through
- * replayKernelBankAny(), and otherwise runs each on the virtual loop.
- * Unbound traces and construction errors land in their own job's
- * result without affecting the others.
+ * one included: constructs every job's predictor and banks them
+ * through replayKernelBankAny(). Unbound traces and construction
+ * errors land in their own job's result without affecting the
+ * others.
  */
 std::vector<JobResult>
 runBatch(const std::vector<const Job *> &jobs)
@@ -42,7 +42,7 @@ runBatch(const std::vector<const Job *> &jobs)
         result.index = job.index;
         result.benchmark = job.benchmark;
         result.configText = job.configText;
-        if (job.trace == nullptr) {
+        if (job.packed == nullptr) {
             result.error = "job has no trace bound";
             continue;
         }
@@ -60,16 +60,9 @@ runBatch(const std::vector<const Job *> &jobs)
 
     const Job &first = *jobs[laneSlot.front()];
     std::vector<SimResult> sims;
-    if (first.packed == nullptr ||
-        !replayKernelBankAny(bank, *first.packed, first.simConfig,
-                             sims)) {
-        // No packed trace, or a kind without a kernel.
-        for (std::size_t lane = 0; lane < bank.size(); ++lane) {
-            const Job &job = *jobs[laneSlot[lane]];
-            auto reader = job.trace->reader();
-            sims.push_back(simulate(*bank[lane], reader, job.simConfig));
-        }
-    }
+    if (!replayKernelBankAny(bank, *first.packed, first.simConfig, sims))
+        BPSIM_PANIC("registered predictor kind without a replay kernel: "
+                    << first.configText);
     for (std::size_t lane = 0; lane < sims.size(); ++lane) {
         JobResult &result = results[laneSlot[lane]];
         result.result = std::move(sims[lane]);
@@ -110,7 +103,7 @@ CampaignScheduler::admit(Job &&job, CompletionFn &&done, bool blocking)
     // Classify for fusion outside the lock (fastReplayKind parses
     // the config text).
     std::string kind;
-    if (opts.fuse && job.packed != nullptr && job.trace != nullptr)
+    if (opts.fuse && job.packed != nullptr)
         kind = fastReplayKind(job.configText);
 
     std::unique_lock<std::mutex> lock(mu);
@@ -153,7 +146,7 @@ CampaignScheduler::trySubmitAll(std::vector<Job> jobs, CompletionFn done)
     std::vector<std::string> kinds(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const Job &job = jobs[i];
-        if (opts.fuse && job.packed != nullptr && job.trace != nullptr)
+        if (opts.fuse && job.packed != nullptr)
             kinds[i] = fastReplayKind(job.configText);
     }
 

@@ -15,24 +15,40 @@ BiModeConfig::canonical(unsigned directionIndexBits)
     return cfg;
 }
 
+namespace
+{
+
+/** Rejects a bad configuration before any register or table is built
+ *  from it. */
+const BiModeConfig &
+checked(const BiModeConfig &config)
+{
+    checkTableBits(config.choiceIndexBits, "bi-mode choice");
+    checkTableBits(config.directionIndexBits, "bi-mode direction");
+    checkCounterWidth(config.counterWidth);
+    if (config.historyBits > config.directionIndexBits)
+        BPSIM_CONFIG_ERROR("bi-mode history ("
+                           << config.historyBits
+                           << " bits) cannot exceed the direction index "
+                              "width ("
+                           << config.directionIndexBits << " bits)");
+    return config;
+}
+
+} // namespace
+
 BiModePredictor::BiModePredictor(const BiModeConfig &config)
-    : cfg(config),
+    : cfg(checked(config)),
       history(cfg.historyBits),
-      choice(checkedTableEntries(cfg.choiceIndexBits, "bi-mode choice"),
-             cfg.counterWidth,
+      choice(std::size_t{1} << cfg.choiceIndexBits, cfg.counterWidth,
              SaturatingCounter::weaklyTaken(cfg.counterWidth)),
-      banks{CounterTable(checkedTableEntries(cfg.directionIndexBits,
-                                             "bi-mode direction"),
+      banks{CounterTable(std::size_t{1} << cfg.directionIndexBits,
                          cfg.counterWidth,
                          SaturatingCounter::weaklyNotTaken(cfg.counterWidth)),
             CounterTable(std::size_t{1} << cfg.directionIndexBits,
                          cfg.counterWidth,
                          SaturatingCounter::weaklyTaken(cfg.counterWidth))}
 {
-    if (cfg.historyBits > cfg.directionIndexBits)
-        BPSIM_FATAL("bi-mode history (" << cfg.historyBits
-                    << " bits) cannot exceed the direction index width ("
-                    << cfg.directionIndexBits << " bits)");
 }
 
 void

@@ -114,8 +114,8 @@ namespace
 /**
  * Registry fold replacing the old hand-written if-chain: the first
  * entry whose kind matches validates the spec against its schema and
- * builds. Throws SpecError on unknown kinds, unknown or missing
- * parameter keys, and builder-detected configuration errors.
+ * builds. Throws ConfigError on unknown kinds, unknown or missing
+ * parameter keys, and configurations the constructor rejects.
  */
 PredictorPtr
 build(const PredictorSpec &spec)
@@ -130,7 +130,7 @@ build(const PredictorSpec &spec)
         predictor = Entry::build(spec);
     });
     if (!matched)
-        throw SpecError{"unknown predictor kind '" + spec.kind + "'"};
+        throw ConfigError("unknown predictor kind '" + spec.kind + "'");
     return predictor;
 }
 
@@ -141,8 +141,8 @@ tryMakePredictor(const PredictorSpec &spec)
 {
     try {
         return {build(spec), {}};
-    } catch (const SpecError &err) {
-        return {nullptr, err.message};
+    } catch (const ConfigError &err) {
+        return {nullptr, err.what()};
     }
 }
 
@@ -183,16 +183,6 @@ knownPredictorKinds()
     return kinds;
 }
 
-bool
-hasFastReplay(const std::string &kind)
-{
-    bool fast = false;
-    forEachPredictorEntry([&]<typename Entry>() {
-        fast = fast || (Entry::fastReplay && kind == Entry::kind);
-    });
-    return fast;
-}
-
 std::vector<PredictorKindInfo>
 predictorKindInfos()
 {
@@ -203,7 +193,6 @@ predictorKindInfos()
         info.kind = Entry::kind;
         info.description = Entry::doc;
         info.example = Entry::example;
-        info.fastReplay = Entry::fastReplay;
         for (const ParamSpec &param : Entry::params)
             info.params.push_back(
                 {param.key, param.required, param.doc});
@@ -218,10 +207,8 @@ predictorGrammarHelp()
     std::ostringstream os;
     os << "predictor config grammar: kind[:key=value[,key=value...]]\n";
     for (const PredictorKindInfo &info : predictorKindInfos()) {
-        os << "  " << info.example << "\n      " << info.description;
-        if (info.fastReplay)
-            os << " [fast replay]";
-        os << "\n";
+        os << "  " << info.example << "\n      " << info.description
+           << "\n";
         for (const ParamInfo &param : info.params) {
             os << "      " << param.key << "  " << param.doc;
             if (param.required)
@@ -236,9 +223,13 @@ std::string
 fastReplayKind(const std::string &configText)
 {
     ParseResult parsed = PredictorSpec::tryParse(configText);
-    if (!parsed.ok() || !hasFastReplay(parsed.spec.kind))
+    if (!parsed.ok())
         return {};
-    return std::move(parsed.spec.kind);
+    bool known = false;
+    forEachPredictorEntry([&]<typename Entry>() {
+        known = known || parsed.spec.kind == Entry::kind;
+    });
+    return known ? std::move(parsed.spec.kind) : std::string{};
 }
 
 } // namespace bpsim

@@ -8,7 +8,6 @@
  * documented examples (predictorKindInfos() exposes them at
  * runtime, predictorGrammarHelp() renders the full schema):
  *
- *   taken | nottaken | btfn:l=10
  *   bimodal:n=12
  *   gag:h=12 | gas:h=8,a=4 | pag:h=10,l=10 | pas:h=8,l=10,a=2
  *   gshare:n=12,h=12
@@ -28,9 +27,11 @@
  *
  * Two error-handling flavours are provided. The try-APIs
  * (PredictorSpec::tryParse(), tryMakePredictor()) report syntax and
- * configuration errors through a result object and never terminate —
- * batch drivers such as the campaign engine use them to surface
- * per-job errors without killing a whole run. The classic APIs
+ * configuration errors — the constructors' range checks included
+ * (predictors/config_error.hh) — through a result object and never
+ * terminate; batch drivers such as the campaign engine and the
+ * service daemon use them to surface per-job errors without killing
+ * a whole run. The classic APIs
  * (PredictorSpec::parse(), makePredictor()) are thin wrappers that
  * fatal() on the same errors, for interactive tools where dying with
  * a message is the right behaviour.
@@ -96,8 +97,8 @@ struct PredictorResult
 
 /**
  * Instantiates a predictor from a configuration string without
- * aborting: parse errors, unknown kinds and missing required
- * parameters all come back in PredictorResult::error.
+ * aborting: parse errors, unknown kinds, missing required parameters
+ * and out-of-range values all come back in PredictorResult::error.
  */
 PredictorResult tryMakePredictor(const std::string &configText);
 
@@ -134,8 +135,6 @@ struct PredictorKindInfo
     std::string description;
     /** A documented, always-constructible example config string. */
     std::string example;
-    /** True when the kind runs on the devirtualized replay kernel. */
-    bool fastReplay = false;
     std::vector<ParamInfo> params;
 };
 
@@ -148,17 +147,9 @@ std::vector<PredictorKindInfo> predictorKindInfos();
 std::string predictorGrammarHelp();
 
 /**
- * True when predictors of @p kind have a devirtualized batched replay
- * kernel (sim/replay.hh). Runs of other kinds — and runs needing
- * per-branch tracking — use the virtual simulate() loop. The two
- * paths are bit-identical; this only classifies which one the
- * dispatcher may take.
- */
-bool hasFastReplay(const std::string &kind);
-
-/**
- * The kernel-eligible kind of @p configText, or "" when the config
- * does not parse or its kind has no devirtualized replay kernel.
+ * The kind of @p configText, or "" when the config does not parse or
+ * names no registered kind. Every registered kind has a
+ * devirtualized replay kernel (core/registry.hh).
  *
  * This is the campaign engine's grouping key: jobs on the same trace
  * whose configs share a non-empty fastReplayKind() can be fused into

@@ -9,26 +9,24 @@
  *  - the concrete C++ type (`Predictor`),
  *  - the parameter schema (`params`: key, required-or-defaulted,
  *    doc string) and a documented example config (`example`),
- *  - the builder (`build()`), and
- *  - whether the type has a devirtualized replay kernel
- *    (`fastReplay`, see sim/replay_kernel.hh).
+ *  - the builder (`build()`).
+ *
+ * Every entry's type has a fast core (predictors/fast_base.hh), so
+ * every registered kind runs on the devirtualized replay kernel.
  *
  * Every dispatch site in the system is a fold over this list:
  * core/factory.cc derives construction, parameter validation,
- * knownPredictorKinds(), hasFastReplay() and the grammar help text;
+ * knownPredictorKinds() and the grammar help text;
  * visitFastPredictor() below derives the typed kernel dispatch of
  * sim/replay.cc and of the Section 4 analyses (analysis/). Adding a
- * predictor kind is therefore
- * exactly two steps — give the type a fast core (or not) and append
- * one entry here — and the factory, the replay kernels, the campaign
- * fusion scheduler and the registry-driven tests all pick it up with
- * no further code.
+ * predictor kind is therefore exactly two steps — give the type a
+ * fast core and append one entry here — and the factory, the replay
+ * kernels, the campaign fusion scheduler and the registry-driven
+ * tests all pick it up with no further code.
  *
  * The entries are plain structs with static members rather than
  * runtime registration so the replay layer can instantiate the
- * templated kernels per concrete type: the `fastReplay` flag is a
- * `constexpr` bool precisely so `if constexpr` folds can skip
- * kernel instantiation for types without a fast core.
+ * templated kernels per concrete type.
  */
 
 #ifndef BPSIM_CORE_REGISTRY_HH
@@ -40,13 +38,13 @@
 
 #include "core/bimode.hh"
 #include "core/factory.hh"
+#include "predictors/config_error.hh"
 #include "predictors/agree.hh"
 #include "predictors/bimodal.hh"
 #include "predictors/filter.hh"
 #include "predictors/gshare.hh"
 #include "predictors/gskew.hh"
 #include "predictors/perceptron.hh"
-#include "predictors/static_predictors.hh"
 #include "predictors/tournament.hh"
 #include "predictors/twolevel.hh"
 #include "predictors/yags.hh"
@@ -66,16 +64,6 @@ struct ParamSpec
     const char *doc;
 };
 
-/**
- * Thrown by registry builders and parameter validation on
- * configuration errors; caught and converted to a PredictorResult by
- * tryMakePredictor() in core/factory.cc. Never escapes the factory.
- */
-struct SpecError
-{
-    std::string message;
-};
-
 /** Schema-checked required-parameter lookup for builders. Validation
  *  runs before any builder, so this only fires if an entry's builder
  *  requires a key its schema forgot to declare. */
@@ -84,8 +72,8 @@ requireParam(const PredictorSpec &spec, const char *key)
 {
     const auto it = spec.params.find(key);
     if (it == spec.params.end())
-        throw SpecError{"predictor '" + spec.kind +
-                        "' requires parameter " + key + "=<value>"};
+        throw ConfigError("predictor '" + spec.kind +
+                          "' requires parameter " + key + "=<value>");
     return it->second;
 }
 
@@ -94,57 +82,6 @@ requireParam(const PredictorSpec &spec, const char *key)
  * them. Each is self-contained: schema, docs and builder together.
  */
 
-struct TakenEntry
-{
-    using Predictor = AlwaysTakenPredictor;
-    static constexpr const char *kind = "taken";
-    static constexpr const char *doc = "static always-taken baseline";
-    static constexpr const char *example = "taken";
-    static constexpr bool fastReplay = false;
-    static constexpr std::array<ParamSpec, 0> params{};
-
-    static PredictorPtr
-    build(const PredictorSpec &)
-    {
-        return std::make_unique<AlwaysTakenPredictor>();
-    }
-};
-
-struct NotTakenEntry
-{
-    using Predictor = AlwaysNotTakenPredictor;
-    static constexpr const char *kind = "nottaken";
-    static constexpr const char *doc = "static always-not-taken baseline";
-    static constexpr const char *example = "nottaken";
-    static constexpr bool fastReplay = false;
-    static constexpr std::array<ParamSpec, 0> params{};
-
-    static PredictorPtr
-    build(const PredictorSpec &)
-    {
-        return std::make_unique<AlwaysNotTakenPredictor>();
-    }
-};
-
-struct BtfnEntry
-{
-    using Predictor = BtfnPredictor;
-    static constexpr const char *kind = "btfn";
-    static constexpr const char *doc =
-        "backward-taken/forward-not-taken static heuristic";
-    static constexpr const char *example = "btfn:l=10";
-    static constexpr bool fastReplay = false;
-    static constexpr auto params = std::to_array<ParamSpec>({
-        {"l", false, "log2 of the direction-sense cache (default 12)"},
-    });
-
-    static PredictorPtr
-    build(const PredictorSpec &spec)
-    {
-        return std::make_unique<BtfnPredictor>(spec.get("l", 12));
-    }
-};
-
 struct BimodalEntry
 {
     using Predictor = BimodalPredictor;
@@ -152,7 +89,6 @@ struct BimodalEntry
     static constexpr const char *doc =
         "pc-indexed saturating counters (Smith 1981)";
     static constexpr const char *example = "bimodal:n=12";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"n", true, "log2 of the counter count"},
         {"w", false, "counter width in bits (default 2)"},
@@ -173,7 +109,6 @@ struct GagEntry
     static constexpr const char *doc =
         "two-level GAg: global history, one PHT (Yeh-Patt)";
     static constexpr const char *example = "gag:h=12";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"h", true, "global history bits (PHT holds 2^h counters)"},
         {"w", false, "counter width in bits (default 2)"},
@@ -195,7 +130,6 @@ struct GasEntry
     static constexpr const char *doc =
         "two-level GAs: global history, 2^a pc-selected PHTs";
     static constexpr const char *example = "gas:h=8,a=4";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"h", true, "global history bits"},
         {"a", true, "pc bits selecting among 2^a PHTs"},
@@ -219,7 +153,6 @@ struct PagEntry
     static constexpr const char *doc =
         "two-level PAg: per-address history, one PHT";
     static constexpr const char *example = "pag:h=10,l=10";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"h", true, "per-address history bits"},
         {"l", true, "log2 of the per-address history table"},
@@ -243,7 +176,6 @@ struct PasEntry
     static constexpr const char *doc =
         "two-level PAs: per-address history, 2^a pc-selected PHTs";
     static constexpr const char *example = "pas:h=8,l=10,a=2";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"h", true, "per-address history bits"},
         {"l", true, "log2 of the per-address history table"},
@@ -269,7 +201,6 @@ struct GshareEntry
     static constexpr const char *doc =
         "global-history xor-indexed two-level (McFarling 1993)";
     static constexpr const char *example = "gshare:n=12,h=12";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"n", true, "log2 of the counter count"},
         {"h", false, "global history bits (default: n)"},
@@ -292,7 +223,6 @@ struct BiModeEntry
     static constexpr const char *doc =
         "the bi-mode predictor (Lee, Chen & Mudge, MICRO-30)";
     static constexpr const char *example = "bimode:d=11,c=11,h=11";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"d", true, "log2 counters per direction bank"},
         {"c", false, "log2 of the choice table (default: d)"},
@@ -326,7 +256,6 @@ struct AgreeEntry
     static constexpr const char *doc =
         "bias-agreement de-aliased gshare (Sprangle et al., ISCA 1997)";
     static constexpr const char *example = "agree:n=12,h=12,b=12";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"n", true, "log2 of the agree-counter table"},
         {"h", false, "global history bits (default: n)"},
@@ -354,7 +283,6 @@ struct GskewEntry
     static constexpr const char *doc =
         "majority-vote skewed predictor, e-gskew (Michaud et al.)";
     static constexpr const char *example = "gskew:n=11,h=11";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"n", true, "log2 counters per bank (three banks)"},
         {"h", false, "global history bits (default: n)"},
@@ -383,7 +311,6 @@ struct YagsEntry
     static constexpr const char *doc =
         "tagged-exception-cache bi-mode successor (Eden & Mudge)";
     static constexpr const char *example = "yags:c=12,n=10,t=6,h=10";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"c", true, "log2 of the choice (bimodal) table"},
         {"n", true, "log2 of each direction cache"},
@@ -412,7 +339,6 @@ struct TournamentEntry
     static constexpr const char *doc =
         "meta-selected bimodal+gshare pair (McFarling 1993)";
     static constexpr const char *example = "tournament:n=12";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"n", true,
          "log2 of the meta table and of each component's table"},
@@ -433,7 +359,6 @@ struct PerceptronEntry
     static constexpr const char *doc =
         "table-of-perceptrons predictor (Jimenez & Lin, HPCA 2001)";
     static constexpr const char *example = "perceptron:n=8,h=24";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"n", true, "log2 of the perceptron table"},
         {"h", false, "global history bits == weights (default 24)"},
@@ -458,7 +383,6 @@ struct FilterEntry
     static constexpr const char *doc =
         "PHT-interference-filtering gshare (Chang et al., PACT 1996)";
     static constexpr const char *example = "filter:n=12,h=12,b=12,k=6";
-    static constexpr bool fastReplay = true;
     static constexpr auto params = std::to_array<ParamSpec>({
         {"n", true, "log2 of the gshare-indexed PHT"},
         {"h", false, "global history bits (default: n)"},
@@ -503,9 +427,8 @@ struct EntryList
  * (knownPredictorKinds(), help text, registry-driven tests).
  */
 using PredictorRegistry =
-    EntryList<TakenEntry, NotTakenEntry, BtfnEntry, BimodalEntry,
-              GagEntry, GasEntry, PagEntry, PasEntry, GshareEntry,
-              BiModeEntry, AgreeEntry, GskewEntry, YagsEntry,
+    EntryList<BimodalEntry, GagEntry, GasEntry, PagEntry, PasEntry,
+              GshareEntry, BiModeEntry, AgreeEntry, GskewEntry, YagsEntry,
               TournamentEntry, PerceptronEntry, FilterEntry>;
 
 /** Folds @p f over every registry entry, in kind order. */
@@ -518,12 +441,12 @@ forEachPredictorEntry(F &&f)
 
 /**
  * Calls @p f with @p predictor as its concrete fast-core type — one
- * dynamic_cast per registry entry with fastReplay, per call (not per
- * branch). Entries sharing a C++ type (the two-level taxonomy kinds)
- * resolve to the same instantiation; the first match wins.
+ * dynamic_cast per registry entry, per call (not per branch). Entries
+ * sharing a C++ type (the two-level taxonomy kinds) resolve to the
+ * same instantiation; the first match wins.
  *
- * @return false, without calling @p f, when the predictor has no
- *         fast core (the static kinds)
+ * @return false, without calling @p f, when the predictor is of no
+ *         registered type (a user subclass of BranchPredictor)
  */
 template <typename F>
 bool
@@ -531,13 +454,11 @@ visitFastPredictor(BranchPredictor &predictor, F &&f)
 {
     bool matched = false;
     forEachPredictorEntry([&]<typename Entry>() {
-        if constexpr (Entry::fastReplay) {
-            using Pred = typename Entry::Predictor;
-            if (!matched) {
-                if (auto *typed = dynamic_cast<Pred *>(&predictor)) {
-                    matched = true;
-                    f(*typed);
-                }
+        using Pred = typename Entry::Predictor;
+        if (!matched) {
+            if (auto *typed = dynamic_cast<Pred *>(&predictor)) {
+                matched = true;
+                f(*typed);
             }
         }
     });
@@ -562,7 +483,7 @@ acceptedKeyList()
  * Validates @p spec against @p Entry's schema: every key must be
  * declared (misspelled keys like `gshare:hist=12` used to fall back
  * to defaults silently) and every required key must be present.
- * Throws SpecError; runs before the entry's builder.
+ * Throws ConfigError; runs before the entry's builder.
  */
 template <typename Entry>
 void
@@ -572,23 +493,18 @@ validateSpecParams(const PredictorSpec &spec)
         bool known = false;
         for (const ParamSpec &param : Entry::params)
             known = known || given.first == param.key;
-        if (!known) {
-            std::string message = "unknown parameter '" + given.first +
-                                  "' for predictor '" + spec.kind + "'";
-            if (Entry::params.empty())
-                message += " (takes no parameters)";
-            else
-                message +=
-                    " (accepted keys: " + acceptedKeyList<Entry>() + ")";
-            throw SpecError{std::move(message)};
-        }
+        if (!known)
+            throw ConfigError("unknown parameter '" + given.first +
+                              "' for predictor '" + spec.kind +
+                              "' (accepted keys: " +
+                              acceptedKeyList<Entry>() + ")");
     }
     for (const ParamSpec &param : Entry::params) {
         if (param.required &&
             spec.params.find(param.key) == spec.params.end())
-            throw SpecError{"predictor '" + spec.kind +
-                            "' requires parameter " + param.key +
-                            "=<value>"};
+            throw ConfigError("predictor '" + spec.kind +
+                              "' requires parameter " + param.key +
+                              "=<value>");
     }
 }
 

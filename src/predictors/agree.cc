@@ -6,17 +6,32 @@
 namespace bpsim
 {
 
+namespace
+{
+
+/** Rejects a bad configuration before any register or table is built
+ *  from it. */
+const AgreeConfig &
+checked(const AgreeConfig &config)
+{
+    checkTableBits(config.indexBits, "agree");
+    checkTableBits(config.biasIndexBits, "agree bias");
+    checkCounterWidth(config.counterWidth);
+    if (config.historyBits > config.indexBits)
+        BPSIM_CONFIG_ERROR("agree history cannot exceed the index width");
+    return config;
+}
+
+} // namespace
+
 AgreePredictor::AgreePredictor(const AgreeConfig &config)
-    : cfg(config),
+    : cfg(checked(config)),
       history(cfg.historyBits),
-      counters(checkedTableEntries(cfg.indexBits, "agree"),
-               cfg.counterWidth,
+      counters(std::size_t{1} << cfg.indexBits, cfg.counterWidth,
                SaturatingCounter::weaklyTaken(cfg.counterWidth)),
-      biasBit(checkedTableEntries(cfg.biasIndexBits, "agree bias"), 0),
+      biasBit(std::size_t{1} << cfg.biasIndexBits, 0),
       biasValid(std::size_t{1} << cfg.biasIndexBits, 0)
 {
-    if (cfg.historyBits > cfg.indexBits)
-        BPSIM_FATAL("agree history cannot exceed the index width");
 }
 
 void

@@ -7,9 +7,23 @@
 namespace bpsim
 {
 
+namespace
+{
+
+/** Rejects a bad configuration before the table is built from it. */
+unsigned
+checkedIndex(unsigned indexBits, unsigned counterWidth)
+{
+    checkTableBits(indexBits, "bimodal");
+    checkCounterWidth(counterWidth);
+    return indexBits;
+}
+
+} // namespace
+
 BimodalPredictor::BimodalPredictor(unsigned indexBits, unsigned counterWidth)
-    : indexBits(indexBits),
-      counters(checkedTableEntries(indexBits, "bimodal"), counterWidth,
+    : indexBits(checkedIndex(indexBits, counterWidth)),
+      counters(std::size_t{1} << indexBits, counterWidth,
                SaturatingCounter::weaklyTaken(counterWidth))
 {
 }

@@ -14,32 +14,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "predictors/config_error.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace bpsim
 {
-
-/**
- * Validates a table index width *before* the table is allocated.
- *
- * Predictor constructors size their tables in member-initializer
- * lists; validating there (rather than in the constructor body)
- * keeps a bad configuration from attempting a 2^40-entry allocation
- * before the check runs.
- *
- * @param bits index width to validate
- * @param what predictor name for the error message
- * @return 2^bits
- */
-inline std::size_t
-checkedTableEntries(unsigned bits, const char *what)
-{
-    if (bits > 28)
-        BPSIM_FATAL(what << " table of 2^" << bits
-                    << " entries is unreasonably large");
-    return std::size_t{1} << bits;
-}
 
 /** A single n-bit saturating up/down counter. */
 class SaturatingCounter

@@ -3,8 +3,8 @@
  * CRTP adapter mapping the virtual BranchPredictor interface onto a
  * predictor's devirtualized fast core.
  *
- * Every kernel-eligible predictor (core/registry.hh entries with
- * fastReplay) implements a non-virtual core —
+ * Every registered predictor (core/registry.hh) implements a
+ * non-virtual core —
  *
  *   bool predictFast(pc) const              direction only
  *   void updateFast(pc, taken)              state transition

@@ -8,21 +8,36 @@
 namespace bpsim
 {
 
+namespace
+{
+
+/** Rejects a bad configuration before any register or table is built
+ *  from it. */
+const FilterConfig &
+checked(const FilterConfig &config)
+{
+    checkTableBits(config.indexBits, "filter PHT");
+    checkTableBits(config.filterIndexBits, "filter table");
+    checkCounterWidth(config.counterWidth);
+    if (config.historyBits > config.indexBits)
+        BPSIM_CONFIG_ERROR(
+            "filter history cannot exceed the PHT index width");
+    if (config.filterCounterBits < 1 || config.filterCounterBits > 8)
+        BPSIM_CONFIG_ERROR("filter run counter must be 1..8 bits");
+    return config;
+}
+
+} // namespace
+
 FilterPredictor::FilterPredictor(const FilterConfig &config)
-    : cfg(config),
+    : cfg(checked(config)),
       runSaturation(
           static_cast<std::uint16_t>(maskBits(cfg.filterCounterBits))),
       history(cfg.historyBits),
-      pht(checkedTableEntries(cfg.indexBits, "filter PHT"),
-          cfg.counterWidth,
-          SaturatingCounter::weaklyTaken(cfg.counterWidth))
+      pht(std::size_t{1} << cfg.indexBits, cfg.counterWidth,
+          SaturatingCounter::weaklyTaken(cfg.counterWidth)),
+      filter(std::size_t{1} << cfg.filterIndexBits)
 {
-    if (cfg.historyBits > cfg.indexBits)
-        BPSIM_FATAL("filter history cannot exceed the PHT index width");
-    if (cfg.filterCounterBits < 1 || cfg.filterCounterBits > 8)
-        BPSIM_FATAL("filter run counter must be 1..8 bits");
-    filter.resize(
-        checkedTableEntries(cfg.filterIndexBits, "filter table"));
 }
 
 bool

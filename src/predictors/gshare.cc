@@ -5,17 +5,34 @@
 namespace bpsim
 {
 
+namespace
+{
+
+/** Rejects a bad configuration before the history register and the
+ *  table are built from it. */
+unsigned
+checkedHistory(unsigned indexBits, unsigned historyBits,
+               unsigned counterWidth)
+{
+    checkTableBits(indexBits, "gshare");
+    checkCounterWidth(counterWidth);
+    if (historyBits > indexBits)
+        BPSIM_CONFIG_ERROR("gshare history ("
+                           << historyBits
+                           << " bits) cannot exceed the index width ("
+                           << indexBits << " bits)");
+    return historyBits;
+}
+
+} // namespace
+
 GsharePredictor::GsharePredictor(unsigned indexBits, unsigned historyBits,
                                  unsigned counterWidth)
     : indexBits(indexBits),
-      history(historyBits),
-      counters(checkedTableEntries(indexBits, "gshare"), counterWidth,
+      history(checkedHistory(indexBits, historyBits, counterWidth)),
+      counters(std::size_t{1} << indexBits, counterWidth,
                SaturatingCounter::weaklyTaken(counterWidth))
 {
-    if (historyBits > indexBits)
-        BPSIM_FATAL("gshare history (" << historyBits
-                    << " bits) cannot exceed the index width ("
-                    << indexBits << " bits)");
 }
 
 void

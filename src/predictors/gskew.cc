@@ -7,10 +7,28 @@
 namespace bpsim
 {
 
+namespace
+{
+
+/** Rejects a bad configuration before any register or table is built
+ *  from it. */
+const GskewConfig &
+checked(const GskewConfig &config)
+{
+    checkTableBits(config.bankIndexBits, "gskew");
+    checkCounterWidth(config.counterWidth);
+    if (config.historyBits > 64)
+        BPSIM_CONFIG_ERROR("gskew history (" << config.historyBits
+                           << " bits) exceeds 64");
+    return config;
+}
+
+} // namespace
+
 GskewPredictor::GskewPredictor(const GskewConfig &config)
-    : cfg(config),
+    : cfg(checked(config)),
       history(cfg.historyBits),
-      banks{CounterTable(checkedTableEntries(cfg.bankIndexBits, "gskew"),
+      banks{CounterTable(std::size_t{1} << cfg.bankIndexBits,
                          cfg.counterWidth,
                          SaturatingCounter::weaklyTaken(cfg.counterWidth)),
             CounterTable(std::size_t{1} << cfg.bankIndexBits,

@@ -17,9 +17,10 @@ const PerceptronConfig &
 checked(const PerceptronConfig &config)
 {
     if (config.historyBits == 0 || config.historyBits > 63)
-        BPSIM_FATAL("perceptron history must be 1..63 bits");
+        BPSIM_CONFIG_ERROR("perceptron history must be 1..63 bits");
     if (config.weightBits < 2 || config.weightBits > 16)
-        BPSIM_FATAL("perceptron weights must be 2..16 bits");
+        BPSIM_CONFIG_ERROR("perceptron weights must be 2..16 bits");
+    checkTableBits(config.tableIndexBits, "perceptron");
     return config;
 }
 
@@ -36,9 +37,7 @@ PerceptronPredictor::PerceptronPredictor(const PerceptronConfig &config)
       chunks((cfg.historyBits + 1 + 15) / 16 * 2),
       inputMask(maskBits(cfg.historyBits + 1))
 {
-    const std::size_t entries =
-        checkedTableEntries(cfg.tableIndexBits, "perceptron");
-    weights.assign(entries * stride, 0);
+    weights.assign((std::size_t{1} << cfg.tableIndexBits) * stride, 0);
 }
 
 void

@@ -44,17 +44,6 @@ class BranchPredictor
     /** Trains the predictor with the resolved direction of @p pc. */
     virtual void update(std::uint64_t pc, bool taken) = 0;
 
-    /**
-     * Informs the predictor of the decoded taken-target of @p pc.
-     * Harnesses call this alongside update(); only predictors that
-     * exploit target geometry (e.g. BTFN) override it.
-     */
-    virtual void observeTarget(std::uint64_t pc, std::uint64_t target)
-    {
-        (void)pc;
-        (void)target;
-    }
-
     /** Restores the power-on state (including history registers). */
     virtual void reset() = 0;
 
@@ -77,7 +66,8 @@ class BranchPredictor
     /**
      * Number of direction counters; the ids a fast core's counter
      * hook reports lie in [0, directionCounters()). 0 when the
-     * predictor exposes no counters (static predictors).
+     * predictor exposes no counters (every registered kind does; a
+     * user subclass of this interface may not).
      */
     virtual std::uint64_t directionCounters() const { return 0; }
 };

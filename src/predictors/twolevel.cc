@@ -1,15 +1,35 @@
 #include "predictors/twolevel.hh"
 
+#include <algorithm>
 #include <sstream>
 
 namespace bpsim
 {
 
+namespace
+{
+
+/** Rejects a bad configuration before any register or table is built
+ *  from it. h and a are bounded one by one first, so their sum cannot
+ *  wrap. */
+const TwoLevelConfig &
+checked(const TwoLevelConfig &config)
+{
+    checkTableBits(std::max(config.historyBits, config.pcBits),
+                        "two-level");
+    checkTableBits(config.historyBits + config.pcBits, "two-level");
+    if (config.scope == HistoryScope::PerAddress)
+        checkTableBits(config.localEntriesLog2, "per-address history");
+    checkCounterWidth(config.counterWidth);
+    return config;
+}
+
+} // namespace
+
 TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
-    : cfg(config),
+    : cfg(checked(config)),
       globalHistory(cfg.scope == HistoryScope::Global ? cfg.historyBits : 0),
-      counters(checkedTableEntries(cfg.historyBits + cfg.pcBits,
-                                   "two-level"),
+      counters(std::size_t{1} << (cfg.historyBits + cfg.pcBits),
                cfg.counterWidth,
                SaturatingCounter::weaklyTaken(cfg.counterWidth))
 {

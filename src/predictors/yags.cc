@@ -7,21 +7,36 @@
 namespace bpsim
 {
 
+namespace
+{
+
+/** Rejects a bad configuration before any register or table is built
+ *  from it. */
+const YagsConfig &
+checked(const YagsConfig &config)
+{
+    checkTableBits(config.choiceIndexBits, "YAGS choice");
+    checkTableBits(config.cacheIndexBits, "YAGS cache");
+    checkCounterWidth(config.counterWidth);
+    if (config.historyBits > config.cacheIndexBits)
+        BPSIM_CONFIG_ERROR(
+            "YAGS history cannot exceed the cache index width");
+    if (config.tagBits > 16)
+        BPSIM_CONFIG_ERROR(
+            "YAGS tags wider than 16 bits are not supported");
+    return config;
+}
+
+} // namespace
+
 YagsPredictor::YagsPredictor(const YagsConfig &config)
-    : cfg(config),
+    : cfg(checked(config)),
       history(cfg.historyBits),
-      choice(checkedTableEntries(cfg.choiceIndexBits, "YAGS choice"),
-             cfg.counterWidth,
+      choice(std::size_t{1} << cfg.choiceIndexBits, cfg.counterWidth,
              SaturatingCounter::weaklyTaken(cfg.counterWidth))
 {
-    if (cfg.historyBits > cfg.cacheIndexBits)
-        BPSIM_FATAL("YAGS history cannot exceed the cache index width");
-    if (cfg.tagBits > 16)
-        BPSIM_FATAL("YAGS tags wider than 16 bits are not supported");
-    const std::size_t cache_entries =
-        checkedTableEntries(cfg.cacheIndexBits, "YAGS cache");
-    caches[0].resize(cache_entries);
-    caches[1].resize(cache_entries);
+    caches[0].resize(std::size_t{1} << cfg.cacheIndexBits);
+    caches[1].resize(std::size_t{1} << cfg.cacheIndexBits);
 }
 
 void

@@ -15,12 +15,11 @@
  * Internally the sweep is a campaign grid (campaign/campaign.hh)
  * executed on a pool of worker threads — every m × trace
  * pair is an independent job. All points share one kind ("gshare")
- * and one trace per benchmark, so when the benchmarks carry packed
- * traces the campaign fuses the whole sweep into one banked kernel
- * pass per benchmark (the dominant cost of the fig2/3/4 drivers
- * before fusion was re-streaming each trace once per history
- * length). Results are deterministic at any worker count and
- * identical with or without packed traces. Linking note: the
+ * and one packed trace per benchmark, so the campaign fuses the whole
+ * sweep into one banked kernel pass per benchmark (the dominant cost
+ * of the fig2/3/4 drivers before fusion was re-streaming each trace
+ * once per history length). Results are deterministic at any worker
+ * count. Linking note: the
  * implementation lives in bpsim_campaign, not bpsim_sim.
  */
 
@@ -31,7 +30,6 @@
 
 #include "campaign/campaign.hh"
 #include "sim/simulator.hh"
-#include "trace/memory_trace.hh"
 
 namespace bpsim
 {
@@ -59,26 +57,15 @@ struct GshareSweepResult
 /**
  * Sweeps gshare history lengths m in [minHistory, indexBits] at a
  * 2^indexBits-counter budget over @p benchmarks, in parallel on the
- * campaign engine's worker pool. Benchmarks that carry a
- * packed trace run the whole sweep as one banked replay pass per
- * benchmark (campaign fusion); the others fall back to one virtual
- * replay per point.
+ * campaign engine's worker pool. Each benchmark must carry a packed
+ * trace; the whole sweep runs as one banked replay pass per benchmark
+ * (campaign fusion).
  *
  * @param workers worker threads, as for Campaign::run(); 0 uses
  *        defaultWorkerCount()
  */
 GshareSweepResult sweepGshare(unsigned indexBits,
                               const std::vector<BenchmarkTrace> &benchmarks,
-                              unsigned minHistory = 0,
-                              unsigned workers = 0);
-
-/**
- * Convenience overload over bare traces (no packed form, so no
- * fusion — each point replays its trace on the virtual loop).
- * Results are bit-identical to the BenchmarkTrace overload.
- */
-GshareSweepResult sweepGshare(unsigned indexBits,
-                              const std::vector<const MemoryTrace *> &traces,
                               unsigned minHistory = 0,
                               unsigned workers = 0);
 

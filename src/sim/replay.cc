@@ -79,8 +79,8 @@ replayKernelBankAny(const std::vector<BranchPredictor *> &predictors,
                     std::vector<SimResult> &results)
 {
     // The group's first instance selects the banked kernel's concrete
-    // instantiation; a new registry entry with fastReplay set is
-    // picked up here with no further wiring.
+    // instantiation; a new registry entry is picked up here with no
+    // further wiring.
     if (predictors.empty())
         return false;
     bool ran = false;

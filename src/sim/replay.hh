@@ -6,16 +6,16 @@
  * replayKernelBankAny() routes a group of same-type predictors to
  * the devirtualized banked kernel (sim/replay_kernel.hh) through one
  * registry fold; simulateAny() is its one-lane form, falling back to
- * the virtual simulate() loop for kinds without a kernel. Runs that
+ * the virtual simulate() loop when no packed trace is at hand or the
+ * predictor is of no registered type. Runs that
  * ask for per-branch detail (SimConfig::trackPerBranch) take the
  * scalar kernels with a per-branch probe (sim/probe.hh) instead of
  * being forced onto the virtual path. Callers never need to know
  * which path was taken — results, including the per-branch table,
  * are bit-identical by contract.
  *
- * The kind classification lives in core/factory
- * (hasFastReplay()); this dispatcher lives in sim because it depends
- * on the simulation loop, which core must not.
+ * This dispatcher lives in sim, not core, because it depends on the
+ * simulation loop, which core must not.
  */
 
 #ifndef BPSIM_SIM_REPLAY_HH
@@ -43,7 +43,7 @@ namespace bpsim
  *        with a per-branch probe and fills SimResult::perBranch
  *
  * Equivalent to a one-lane replayKernelBankAny() when @p packed is
- * set and the kind has a kernel, else to simulate().
+ * set and the predictor is of a registered type, else to simulate().
  *
  * @pre @p packed, when non-null, must be built from the same records
  *      @p trace yields — the dispatcher cannot check this.
@@ -70,9 +70,9 @@ SimResult simulateAny(BranchPredictor &predictor, TraceReader &trace,
  *
  * @param predictors the group, all non-null and of one concrete type
  * @return true when the bank ran; false when the group is empty, the
- *         first instance's type has no bank kernel, or another
+ *         first instance is of no registered type, or another
  *         instance is of a different type — the group is then
- *         untouched and the caller falls back to the virtual loop
+ *         untouched
  */
 bool replayKernelBankAny(const std::vector<BranchPredictor *> &predictors,
                          const PackedTrace &packed,

@@ -14,13 +14,10 @@
  * Bit-identity contract: for any predictor P and trace T,
  * replayKernel(P, pack(T)) and simulate(P, T) must produce identical
  * branches/mispredictions/takenBranches and leave P in the identical
- * state. The kernel leans on two invariants of the virtual loop:
- *
- *  - predict() is const and side-effect-free, so warm-up records
- *    (whose predictions are discarded) can skip prediction entirely
- *    and only train;
- *  - none of the kernel-eligible predictor kinds override
- *    observeTarget(), so the target-observation call is omitted.
+ * state. The kernel leans on one invariant of the virtual loop:
+ * predict() is const and side-effect-free, so warm-up records (whose
+ * predictions are discarded) can skip prediction entirely and only
+ * train.
  *
  * tests/sim/test_replay.cc enforces the contract for every
  * factory-constructible spec.

@@ -40,7 +40,7 @@
  *              replicas of lane 0 and would corrupt its region)
  *
  * All index math is unsigned 32-bit: tables are capped at 2^28
- * entries (checkedTableEntries) and buildSimdBank() rejects arenas
+ * entries (checkTableBits()) and buildSimdBank() rejects arenas
  * of 2^31+ elements, so offsets stay positive in the signed-index
  * gathers/scatters and lane-local shifts cannot overflow.
  */

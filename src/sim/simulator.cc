@@ -93,7 +93,6 @@ simulate(BranchPredictor &predictor, TraceReader &trace,
         if (!record.isConditional())
             continue;
         const bool prediction = predictor.predict(record.pc);
-        predictor.observeTarget(record.pc, record.target);
         predictor.update(record.pc, record.taken);
         ++seen;
         if (seen <= config.warmupBranches)

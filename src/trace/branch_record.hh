@@ -3,9 +3,11 @@
  * The unit of a branch trace.
  *
  * The paper's evaluation is trace-driven over streams of conditional
- * branch outcomes; the record carries enough information (pc, target,
- * class, outcome) for conditional-direction prediction studies and
- * for future target-prediction extensions.
+ * branch outcomes. Every predictor reads only (pc, outcome) of the
+ * conditional records, which the simulator, the packer and the trace
+ * statistics select by class. The target stays in the record (and in
+ * the BBT1 trace format) because the generator emits whole control
+ * flow, calls and returns included; no predictor reads it.
  */
 
 #ifndef BPSIM_TRACE_BRANCH_RECORD_HH

@@ -7,7 +7,6 @@
 #include "core/factory.hh"
 #include "predictors/bimodal.hh"
 #include "predictors/gshare.hh"
-#include "predictors/static_predictors.hh"
 #include "trace/memory_trace.hh"
 #include "trace/packed_trace.hh"
 #include "workload/generator.hh"
@@ -198,12 +197,21 @@ TEST(BiasAnalysis, PerceptronStreamsMatchTheCampaign)
     EXPECT_EQ(mispredictions, results[0].result.mispredictions);
 }
 
+/** A user subclass of the predictor interface with no counters. */
+struct CounterlessPredictor : BranchPredictor
+{
+    bool predict(std::uint64_t) const override { return true; }
+    void update(std::uint64_t, bool) override {}
+    void reset() override {}
+    std::string name() const override { return "counterless"; }
+    std::uint64_t storageBits() const override { return 0; }
+};
+
 TEST(BiasAnalysisDeath, RequiresCounters)
 {
-    // Static kinds have no counters.
     MemoryTrace trace;
     auto reader = trace.reader();
-    AlwaysTakenPredictor predictor;
+    CounterlessPredictor predictor;
     EXPECT_EXIT((BiasAnalysis{predictor, reader}),
                 ::testing::ExitedWithCode(1), "exposes none");
 }

@@ -5,7 +5,6 @@
 #include "analysis/interference.hh"
 #include "core/bimode.hh"
 #include "predictors/bimodal.hh"
-#include "predictors/static_predictors.hh"
 #include "trace/memory_trace.hh"
 
 namespace bpsim
@@ -133,10 +132,20 @@ TEST(Interference, PercentagesSumOverAliased)
                 stats.aliasedPercent(), 1e-9);
 }
 
+/** A user subclass of the predictor interface with no counters. */
+struct CounterlessPredictor : BranchPredictor
+{
+    bool predict(std::uint64_t) const override { return true; }
+    void update(std::uint64_t, bool) override {}
+    void reset() override {}
+    std::string name() const override { return "counterless"; }
+    std::uint64_t storageBits() const override { return 0; }
+};
+
 TEST(InterferenceDeath, RequiresCounters)
 {
     MemoryTrace trace;
-    AlwaysTakenPredictor predictor;
+    CounterlessPredictor predictor;
     auto reader = trace.reader();
     EXPECT_EXIT(measureInterference(predictor, reader),
                 ::testing::ExitedWithCode(1), "exposes none");

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -52,11 +53,20 @@ mixedTrace(std::size_t n, std::uint64_t seed)
     return trace;
 }
 
+/** @p trace as a benchmark: a borrow of the records plus an owned
+ *  packed form, which campaign jobs replay. */
+BenchmarkTrace
+benchmark(const char *name, const MemoryTrace &trace)
+{
+    return {name, &trace, std::make_shared<const PackedTrace>(trace)};
+}
+
 std::vector<BenchmarkTrace>
 threeBenchmarks(const MemoryTrace &a, const MemoryTrace &b,
                 const MemoryTrace &c)
 {
-    return {{"alpha", &a}, {"beta", &b}, {"gamma", &c}};
+    return {benchmark("alpha", a), benchmark("beta", b),
+            benchmark("gamma", c)};
 }
 
 TEST(Campaign, GridExpansionIsConfigMajor)
@@ -112,7 +122,7 @@ TEST(Campaign, ResultsCarryBenchmarkAndConfigIdentity)
 {
     const MemoryTrace trace = mixedTrace(1'000, 7);
     Campaign campaign;
-    campaign.addJob("gshare:n=6", {"alpha", &trace});
+    campaign.addJob("gshare:n=6", benchmark("alpha", trace));
     const auto results = campaign.run(1);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].ok());
@@ -126,7 +136,7 @@ TEST(Campaign, BadConfigIsAPerJobError)
     const MemoryTrace trace = mixedTrace(1'000, 5);
     Campaign campaign;
     campaign.addGrid({"bogus:", "gshare:n=", "gshare:n=6"},
-                     {{"alpha", &trace}});
+                     {benchmark("alpha", trace)});
     const auto results = campaign.run(2);
     ASSERT_EQ(results.size(), 3u);
     EXPECT_FALSE(results[0].ok());
@@ -364,7 +374,7 @@ TEST(CampaignEmitters, JsonCarriesResultsAndErrors)
 {
     const MemoryTrace trace = mixedTrace(1'000, 9);
     Campaign campaign;
-    campaign.addGrid({"gshare:n=6", "bogus:"}, {{"alpha", &trace}});
+    campaign.addGrid({"gshare:n=6", "bogus:"}, {benchmark("alpha", trace)});
     const auto results = campaign.run(1);
     std::ostringstream os;
     writeResultsJson(os, results);
@@ -383,7 +393,7 @@ TEST(CampaignEmitters, TableHasOneRowPerJob)
 {
     const MemoryTrace trace = mixedTrace(1'000, 13);
     Campaign campaign;
-    campaign.addGrid({"gshare:n=6", "bogus:"}, {{"alpha", &trace}});
+    campaign.addGrid({"gshare:n=6", "bogus:"}, {benchmark("alpha", trace)});
     const auto results = campaign.run(1);
     const TextTable table = resultsTable(results);
     EXPECT_EQ(table.rowCount(), 2u);
@@ -393,7 +403,7 @@ TEST(CampaignEmitters, TimingColumnIsOptIn)
 {
     const MemoryTrace trace = mixedTrace(1'000, 13);
     Campaign campaign;
-    campaign.addGrid({"gshare:n=6", "bogus:"}, {{"alpha", &trace}});
+    campaign.addGrid({"gshare:n=6", "bogus:"}, {benchmark("alpha", trace)});
     const auto results = campaign.run(1);
 
     std::ostringstream plain, timed;

@@ -51,15 +51,13 @@ mixedTrace(std::size_t n, std::uint64_t seed)
 
 Job
 makeJob(std::size_t index, const std::string &config,
-        const std::string &benchmark, const MemoryTrace &trace,
-        const PackedTrace *packed = nullptr)
+        const std::string &benchmark, const PackedTrace &packed)
 {
     Job job;
     job.index = index;
     job.configText = config;
     job.benchmark = benchmark;
-    job.trace = &trace;
-    job.packed = packed;
+    job.packed = &packed;
     return job;
 }
 
@@ -81,12 +79,12 @@ struct Sink
 
 TEST(CampaignScheduler, SubmitRunsJobAndFiresCallback)
 {
-    const MemoryTrace trace = mixedTrace(5'000, 7);
+    const PackedTrace packed(mixedTrace(5'000, 7));
     CampaignScheduler scheduler(
         CampaignScheduler::Options{2, true, 0, false});
     Sink sink;
     const auto ticket = scheduler.submit(
-        makeJob(0, "gshare:n=8", "alpha", trace), sink.fn());
+        makeJob(0, "gshare:n=8", "alpha", packed), sink.fn());
     ASSERT_TRUE(ticket.has_value());
     scheduler.drain();
     ASSERT_EQ(sink.results.size(), 1u);
@@ -98,14 +96,14 @@ TEST(CampaignScheduler, SubmitRunsJobAndFiresCallback)
 
 TEST(CampaignScheduler, TicketsAreUniqueAndMonotonic)
 {
-    const MemoryTrace trace = mixedTrace(500, 3);
+    const PackedTrace packed(mixedTrace(500, 3));
     CampaignScheduler scheduler(
         CampaignScheduler::Options{2, true, 0, false});
     Sink sink;
     std::vector<CampaignScheduler::Ticket> tickets;
     for (int i = 0; i < 20; ++i) {
         const auto ticket = scheduler.submit(
-            makeJob(i, "bimodal:n=6", "b", trace), sink.fn());
+            makeJob(i, "bimodal:n=6", "b", packed), sink.fn());
         ASSERT_TRUE(ticket.has_value());
         if (!tickets.empty()) {
             EXPECT_GT(*ticket, tickets.back());
@@ -118,11 +116,11 @@ TEST(CampaignScheduler, TicketsAreUniqueAndMonotonic)
 
 TEST(CampaignScheduler, ConfigErrorCompletesWithJobError)
 {
-    const MemoryTrace trace = mixedTrace(500, 3);
+    const PackedTrace packed(mixedTrace(500, 3));
     CampaignScheduler scheduler;
     Sink sink;
     const auto ticket = scheduler.submit(
-        makeJob(0, "no-such-predictor:x=1", "b", trace), sink.fn());
+        makeJob(0, "no-such-predictor:x=1", "b", packed), sink.fn());
     ASSERT_TRUE(ticket.has_value());
     scheduler.drain();
     const JobResult &result = sink.results.at(*ticket);
@@ -132,7 +130,7 @@ TEST(CampaignScheduler, ConfigErrorCompletesWithJobError)
 
 TEST(CampaignScheduler, ThrowingCallbackFailsOnlyItsOwnTicket)
 {
-    const MemoryTrace trace = mixedTrace(2'000, 5);
+    const PackedTrace packed(mixedTrace(2'000, 5));
     CampaignScheduler scheduler(
         CampaignScheduler::Options{3, true, 0, false});
 
@@ -142,7 +140,7 @@ TEST(CampaignScheduler, ThrowingCallbackFailsOnlyItsOwnTicket)
     // delivering everything else.
     for (int i = 0; i < 10; ++i) {
         const auto ticket = scheduler.submit(
-            makeJob(i, "gshare:n=7", "b", trace),
+            makeJob(i, "gshare:n=7", "b", packed),
             [&delivered, i](CampaignScheduler::Ticket, JobResult) {
                 if (i == 4)
                     throw std::runtime_error("client stream died");
@@ -159,7 +157,7 @@ TEST(CampaignScheduler, ThrowingCallbackFailsOnlyItsOwnTicket)
     // The scheduler is still fully usable afterwards.
     Sink sink;
     const auto ticket = scheduler.submit(
-        makeJob(10, "bimodal:n=6", "b", trace), sink.fn());
+        makeJob(10, "bimodal:n=6", "b", packed), sink.fn());
     ASSERT_TRUE(ticket.has_value());
     scheduler.drain();
     EXPECT_TRUE(sink.results.at(*ticket).ok());
@@ -167,19 +165,19 @@ TEST(CampaignScheduler, ThrowingCallbackFailsOnlyItsOwnTicket)
 
 TEST(CampaignScheduler, TrySubmitRefusesWhenQueueIsFull)
 {
-    const MemoryTrace trace = mixedTrace(20'000, 9);
+    const PackedTrace packed(mixedTrace(20'000, 9));
     // One worker, paused: nothing dispatches, so the queue fills.
     CampaignScheduler scheduler(
         CampaignScheduler::Options{1, true, 3, true});
     Sink sink;
     for (int i = 0; i < 3; ++i) {
         ASSERT_TRUE(scheduler
-                        .trySubmit(makeJob(i, "gshare:n=6", "b", trace),
+                        .trySubmit(makeJob(i, "gshare:n=6", "b", packed),
                                    sink.fn())
                         .has_value());
     }
     EXPECT_FALSE(scheduler
-                     .trySubmit(makeJob(3, "gshare:n=6", "b", trace),
+                     .trySubmit(makeJob(3, "gshare:n=6", "b", packed),
                                 sink.fn())
                      .has_value());
     EXPECT_EQ(scheduler.pendingJobs(), 3u);
@@ -189,14 +187,14 @@ TEST(CampaignScheduler, TrySubmitRefusesWhenQueueIsFull)
 
 TEST(CampaignScheduler, TrySubmitAllIsAllOrNothing)
 {
-    const MemoryTrace trace = mixedTrace(1'000, 9);
+    const PackedTrace packed(mixedTrace(1'000, 9));
     CampaignScheduler scheduler(
         CampaignScheduler::Options{1, true, 4, true});
     Sink sink;
 
     std::vector<Job> batch;
     for (int i = 0; i < 3; ++i)
-        batch.push_back(makeJob(i, "gshare:n=6", "b", trace));
+        batch.push_back(makeJob(i, "gshare:n=6", "b", packed));
 
     const auto first = scheduler.trySubmitAll(batch, sink.fn());
     ASSERT_TRUE(first.has_value());
@@ -214,14 +212,14 @@ TEST(CampaignScheduler, TrySubmitAllIsAllOrNothing)
 
 TEST(CampaignScheduler, CancelRemovesPendingJob)
 {
-    const MemoryTrace trace = mixedTrace(1'000, 13);
+    const PackedTrace packed(mixedTrace(1'000, 13));
     CampaignScheduler scheduler(
         CampaignScheduler::Options{1, true, 0, true});
     Sink sink;
     const auto keep = scheduler.submit(
-        makeJob(0, "gshare:n=6", "b", trace), sink.fn());
+        makeJob(0, "gshare:n=6", "b", packed), sink.fn());
     const auto drop = scheduler.submit(
-        makeJob(1, "gshare:n=6", "b", trace), sink.fn());
+        makeJob(1, "gshare:n=6", "b", packed), sink.fn());
     ASSERT_TRUE(keep && drop);
 
     EXPECT_TRUE(scheduler.cancel(*drop));
@@ -238,16 +236,16 @@ TEST(CampaignScheduler, CancelRemovesPendingJob)
 
 TEST(CampaignScheduler, ShutdownRefusesNewWork)
 {
-    const MemoryTrace trace = mixedTrace(500, 17);
+    const PackedTrace packed(mixedTrace(500, 17));
     CampaignScheduler scheduler;
     scheduler.shutdown();
     Sink sink;
     EXPECT_FALSE(scheduler
-                     .submit(makeJob(0, "gshare:n=6", "b", trace),
+                     .submit(makeJob(0, "gshare:n=6", "b", packed),
                              sink.fn())
                      .has_value());
     EXPECT_FALSE(scheduler
-                     .trySubmit(makeJob(0, "gshare:n=6", "b", trace),
+                     .trySubmit(makeJob(0, "gshare:n=6", "b", packed),
                                 sink.fn())
                      .has_value());
 }
@@ -271,7 +269,7 @@ TEST(CampaignScheduler, PausedSubmissionsFuseAcrossSubmitters)
         for (std::size_t i = 0; i < configs.size(); ++i) {
             Sink &sink = (i % 2 == 0) ? clientA : clientB;
             const auto ticket = scheduler.submit(
-                makeJob(i, configs[i], "bench", trace, &packed),
+                makeJob(i, configs[i], "bench", packed),
                 sink.fn());
             ASSERT_TRUE(ticket.has_value());
             configOf[*ticket] = configs[i];
@@ -282,7 +280,7 @@ TEST(CampaignScheduler, PausedSubmissionsFuseAcrossSubmitters)
         const auto stats = scheduler.stats();
         EXPECT_GE(stats.fusedBanks, 1u) << "workers=" << workers;
 
-        // Reference: each config alone, classic per-job path.
+        // Reference: each config alone, unfused.
         for (const auto &entry : configOf) {
             const auto &resultsOf = clientA.results.count(entry.first)
                                         ? clientA.results
@@ -290,7 +288,7 @@ TEST(CampaignScheduler, PausedSubmissionsFuseAcrossSubmitters)
             const JobResult &fused = resultsOf.at(entry.first);
             ASSERT_TRUE(fused.ok()) << fused.error;
             const JobResult solo = runJob(
-                makeJob(0, entry.second, "bench", trace, nullptr));
+                makeJob(0, entry.second, "bench", packed));
             ASSERT_TRUE(solo.ok());
             EXPECT_EQ(fused.result.mispredictions,
                       solo.result.mispredictions)
@@ -304,20 +302,19 @@ TEST(CampaignScheduler, PausedSubmissionsFuseAcrossSubmitters)
 
 TEST(CampaignScheduler, UnfusedFastKindsStillRunTheSoloKernel)
 {
-    // With fusion off every batch is a batch of one: fast kinds over
-    // a packed trace take the solo kernel (timed alone), the others
-    // the virtual loop, all with the virtual loop's counts.
+    // With fusion off every batch is a batch of one: each job takes
+    // the solo kernel (timed alone), with the virtual loop's counts.
     const MemoryTrace trace = mixedTrace(20'000, 5);
     const PackedTrace packed(trace);
     const std::vector<std::string> configs = {
-        "gshare:n=8", "gshare:n=9", "bimode:d=7", "btfn:l=6"};
+        "gshare:n=8", "gshare:n=9", "bimode:d=7", "tournament:n=7"};
     CampaignScheduler scheduler(
         CampaignScheduler::Options{2, false, 0, true});
     Sink sink;
     std::map<CampaignScheduler::Ticket, std::string> configOf;
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const auto ticket = scheduler.submit(
-            makeJob(i, configs[i], "bench", trace, &packed), sink.fn());
+            makeJob(i, configs[i], "bench", packed), sink.fn());
         ASSERT_TRUE(ticket.has_value());
         configOf[*ticket] = configs[i];
     }
@@ -340,13 +337,13 @@ TEST(CampaignScheduler, UnfusedFastKindsStillRunTheSoloKernel)
 
 TEST(CampaignScheduler, PauseHoldsWorkAndResumeReleasesIt)
 {
-    const MemoryTrace trace = mixedTrace(1'000, 23);
+    const PackedTrace packed(mixedTrace(1'000, 23));
     CampaignScheduler scheduler(
         CampaignScheduler::Options{2, true, 0, true});
     Sink sink;
     for (int i = 0; i < 4; ++i) {
         ASSERT_TRUE(scheduler
-                        .submit(makeJob(i, "bimodal:n=6", "b", trace),
+                        .submit(makeJob(i, "bimodal:n=6", "b", packed),
                                 sink.fn())
                         .has_value());
     }
@@ -362,15 +359,14 @@ TEST(CampaignScheduler, ConcurrentShutdownCallsAreSafe)
     // shutdown() is documented idempotent; racing callers must not
     // double-join the pool (which throws std::system_error). Every
     // caller returns only once the pool is fully joined.
-    const MemoryTrace trace = mixedTrace(2'000, 31);
+    const PackedTrace packed(mixedTrace(2'000, 31));
     for (int round = 0; round < 8; ++round) {
         CampaignScheduler scheduler(
             CampaignScheduler::Options{2, true, 0, false});
         Sink sink;
         for (int i = 0; i < 8; ++i) {
             ASSERT_TRUE(scheduler
-                            .submit(makeJob(i, "gshare:n=6", "b",
-                                            trace),
+                            .submit(makeJob(i, "gshare:n=6", "b", packed),
                                     sink.fn())
                             .has_value());
         }
@@ -401,7 +397,7 @@ TEST(CampaignScheduler, WideFusionSweepSurvivesBatchGrowth)
     for (int n = 4; n <= 25; ++n) {
         const std::string config = "gshare:n=" + std::to_string(n);
         const auto ticket = scheduler.submit(
-            makeJob(configOf.size(), config, "bench", trace, &packed),
+            makeJob(configOf.size(), config, "bench", packed),
             sink.fn());
         ASSERT_TRUE(ticket.has_value());
         configOf[*ticket] = config;
@@ -414,7 +410,7 @@ TEST(CampaignScheduler, WideFusionSweepSurvivesBatchGrowth)
         const JobResult &fused = sink.results.at(entry.first);
         ASSERT_TRUE(fused.ok()) << fused.error;
         const JobResult solo = runJob(
-            makeJob(0, entry.second, "bench", trace, nullptr));
+            makeJob(0, entry.second, "bench", packed));
         ASSERT_TRUE(solo.ok());
         EXPECT_EQ(fused.result.mispredictions,
                   solo.result.mispredictions)
@@ -425,13 +421,13 @@ TEST(CampaignScheduler, WideFusionSweepSurvivesBatchGrowth)
 
 TEST(CampaignScheduler, StatsCountersAreConsistent)
 {
-    const MemoryTrace trace = mixedTrace(1'000, 29);
+    const PackedTrace packed(mixedTrace(1'000, 29));
     CampaignScheduler scheduler(
         CampaignScheduler::Options{2, true, 0, false});
     Sink sink;
     for (int i = 0; i < 6; ++i) {
         ASSERT_TRUE(scheduler
-                        .submit(makeJob(i, "gshare:n=6", "b", trace),
+                        .submit(makeJob(i, "gshare:n=6", "b", packed),
                                 sink.fn())
                         .has_value());
     }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 
 #include "analysis/bias_analysis.hh"
 #include "core/bimode.hh"
@@ -18,6 +19,7 @@
 #include "sim/gshare_sweep.hh"
 #include "sim/simulator.hh"
 #include "trace/binary_io.hh"
+#include "trace/packed_trace.hh"
 #include "workload/benchmarks.hh"
 #include "workload/generator.hh"
 
@@ -42,6 +44,13 @@ mispredictOn(const MemoryTrace &trace, const std::string &config)
     const PredictorPtr predictor = makePredictor(config);
     auto reader = trace.reader();
     return simulate(*predictor, reader).mispredictionRate();
+}
+
+/** @p trace with its packed form, the shape sweepGshare() replays. */
+std::vector<BenchmarkTrace>
+sweepInput(const MemoryTrace &trace)
+{
+    return {{"trace", &trace, std::make_shared<const PackedTrace>(trace)}};
 }
 
 TEST(EndToEnd, BiModeBeatsEqualCostGshareOnGcc)
@@ -74,7 +83,7 @@ TEST(EndToEnd, LongHistoryWinsOnCompress)
     // The paper's compress exception: among gshare configurations
     // the single-PHT (full-history) point is best at large sizes.
     const MemoryTrace trace = reducedTrace("compress", 1'000'000);
-    const auto sweep = sweepGshare(14, {&trace}, 6);
+    const auto sweep = sweepGshare(14, sweepInput(trace), 6);
     EXPECT_GE(sweep.best().historyBits, 12u)
         << "compress must favour long history";
 }
@@ -84,7 +93,7 @@ TEST(EndToEnd, ShortHistoryWinsOnGccAtSmallSizes)
     // gcc at 0.25KB: 16k branches over 1k counters — the sweep must
     // prefer a multi-PHT (short history) configuration.
     const MemoryTrace trace = reducedTrace("gcc", 800'000);
-    const auto sweep = sweepGshare(10, {&trace});
+    const auto sweep = sweepGshare(10, sweepInput(trace));
     EXPECT_LT(sweep.best().historyBits, 10u);
 }
 

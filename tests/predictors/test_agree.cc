@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factory.hh"
 #include "predictors/agree.hh"
 
 namespace bpsim
@@ -110,8 +111,10 @@ TEST(AgreeDeath, HistoryWiderThanIndexIsFatal)
     AgreeConfig cfg;
     cfg.indexBits = 4;
     cfg.historyBits = 5;
-    EXPECT_EXIT(AgreePredictor{cfg}, ::testing::ExitedWithCode(1),
-                "cannot exceed");
+    // The constructor throws; the factory's fatal surface exits.
+    EXPECT_THROW(AgreePredictor{cfg}, ConfigError);
+    EXPECT_EXIT(makePredictor("agree:n=4,h=5"),
+                ::testing::ExitedWithCode(1), "cannot exceed");
 }
 
 } // namespace

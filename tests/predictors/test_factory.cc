@@ -15,8 +15,8 @@ namespace
 
 TEST(PredictorSpec, ParsesKindOnly)
 {
-    const PredictorSpec spec = PredictorSpec::parse("taken");
-    EXPECT_EQ(spec.kind, "taken");
+    const PredictorSpec spec = PredictorSpec::parse("gshare");
+    EXPECT_EQ(spec.kind, "gshare");
     EXPECT_TRUE(spec.params.empty());
 }
 
@@ -123,13 +123,29 @@ TEST(FactoryTry, MisspelledParamKeyReturnsErrorNamingValidKeys)
         << result.error;
 }
 
-TEST(FactoryTry, ParamOnParameterlessKindReturnsError)
+/** Specs that parse and pass the schema but that a constructor
+ *  rejects: out-of-range widths and contradictory parameters. */
+const char *const kRejectedByConstructor[] = {
+    "bimode:d=8,h=9",    "bimode:d=29",         "bimodal:n=40",
+    "tournament:n=29",   "perceptron:n=5,h=64", "yags:c=11,n=9,t=17",
+    "filter:n=10,k=9",   "gshare:n=8,w=9",      "gshare:n=8,w=0",
+    "gag:h=70",          "gas:h=4294967295,a=1", "pag:h=8,l=40",
+    "gskew:n=8,h=65",    "agree:n=8,b=30",
+};
+
+TEST(FactoryTry, ConstructorRejectionsReturnErrors)
 {
-    const PredictorResult result = tryMakePredictor("taken:n=4");
-    ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.error.find("takes no parameters"),
-              std::string::npos)
-        << result.error;
+    for (const char *spec : kRejectedByConstructor) {
+        const PredictorResult result = tryMakePredictor(spec);
+        EXPECT_FALSE(result.ok()) << spec;
+        EXPECT_FALSE(result.error.empty()) << spec;
+    }
+    const PredictorResult history = tryMakePredictor("bimode:d=8,h=9");
+    EXPECT_NE(history.error.find("cannot exceed"), std::string::npos)
+        << history.error;
+    const PredictorResult width = tryMakePredictor("gshare:n=8,w=9");
+    EXPECT_NE(width.error.find("counter width 9"), std::string::npos)
+        << width.error;
 }
 
 TEST(FactoryTry, ParseErrorPropagates)

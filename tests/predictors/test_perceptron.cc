@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "core/factory.hh"
+#include "predictors/config_error.hh"
 #include "predictors/perceptron.hh"
 #include "util/random.hh"
 
@@ -142,14 +144,17 @@ TEST(Perceptron, StorageAccounting)
 
 TEST(PerceptronDeath, BadConfigIsFatal)
 {
+    // The constructor throws; the factory's fatal surface exits.
     PerceptronConfig cfg = smallConfig();
     cfg.historyBits = 0;
-    EXPECT_EXIT(PerceptronPredictor{cfg}, ::testing::ExitedWithCode(1),
-                "history");
+    EXPECT_THROW(PerceptronPredictor{cfg}, ConfigError);
     cfg = smallConfig();
     cfg.weightBits = 1;
-    EXPECT_EXIT(PerceptronPredictor{cfg}, ::testing::ExitedWithCode(1),
-                "weights");
+    EXPECT_THROW(PerceptronPredictor{cfg}, ConfigError);
+    EXPECT_EXIT(makePredictor("perceptron:n=4,h=0"),
+                ::testing::ExitedWithCode(1), "history");
+    EXPECT_EXIT(makePredictor("perceptron:n=4,w=1"),
+                ::testing::ExitedWithCode(1), "weights");
 }
 
 } // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/factory.hh"
 #include "predictors/twolevel.hh"
 
 namespace bpsim
@@ -115,7 +116,9 @@ TEST(TwoLevel, ResetRestoresInitialPredictions)
 
 TEST(TwoLevelDeath, OversizedIndexIsFatal)
 {
-    EXPECT_EXIT(TwoLevelPredictor(makeGAs(20, 20)),
+    // The constructor throws; the factory's fatal surface exits.
+    EXPECT_THROW(TwoLevelPredictor(makeGAs(20, 20)), ConfigError);
+    EXPECT_EXIT(makePredictor("gas:h=20,a=20"),
                 ::testing::ExitedWithCode(1), "unreasonably large");
 }
 

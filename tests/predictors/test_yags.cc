@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/factory.hh"
 #include "predictors/yags.hh"
 
 namespace bpsim
@@ -160,8 +161,10 @@ TEST(YagsDeath, HistoryWiderThanCacheIndexIsFatal)
     YagsConfig cfg;
     cfg.cacheIndexBits = 4;
     cfg.historyBits = 6;
-    EXPECT_EXIT(YagsPredictor{cfg}, ::testing::ExitedWithCode(1),
-                "cannot exceed");
+    // The constructor throws; the factory's fatal surface exits.
+    EXPECT_THROW(YagsPredictor{cfg}, ConfigError);
+    EXPECT_EXIT(makePredictor("yags:c=8,n=4,h=6"),
+                ::testing::ExitedWithCode(1), "cannot exceed");
 }
 
 } // namespace

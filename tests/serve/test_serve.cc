@@ -285,6 +285,35 @@ TEST_F(ServeTest, UnknownBenchmarkAndBadConfigArePerClientFailures)
     EXPECT_EQ(runServed(client, request), offlineReference(request, 1));
 }
 
+TEST_F(ServeTest, OutOfRangeSpecsFailTheirJobsNotTheDaemon)
+{
+    startServer(testOptions("range"));
+    ServeClient client = connectClient();
+
+    // Every spec parses and passes its kind's schema, but its
+    // constructor refuses it: each must fail its own job only.
+    CampaignRequest request;
+    request.id = "range";
+    request.configs = {"bimode:d=8,h=9",     "bimode:d=29",
+                       "bimodal:n=40",       "tournament:n=29",
+                       "perceptron:n=5,h=64", "yags:c=11,n=9,t=17",
+                       "filter:n=10,k=9",    "gshare:n=8,w=9",
+                       "gshare:n=8,w=0",     "gag:h=70"};
+    request.benchmarks = {"tiny_a"};
+    std::string error;
+    const auto payloads = client.runCampaign(request, error);
+    ASSERT_TRUE(payloads.has_value()) << error;
+    ASSERT_EQ(payloads->size(), request.configs.size());
+    for (const std::string &payload : *payloads)
+        EXPECT_NE(payload.find("\"ok\":false"), std::string::npos)
+            << payload;
+
+    // The same daemon then serves a valid campaign.
+    request.id = "valid";
+    request.configs = {"gshare:n=8", "bimode:d=7"};
+    EXPECT_EQ(runServed(client, request), offlineReference(request, 1));
+}
+
 TEST_F(ServeTest, OversizedAndOverCapacityCampaignsAreRejectedWhole)
 {
     auto opts = testOptions("capacity");

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "campaign/campaign.hh"
 #include "sim/gshare_sweep.hh"
+#include "trace/packed_trace.hh"
 #include "util/random.hh"
 
 namespace bpsim
@@ -54,10 +57,22 @@ aliasHeavyTrace(std::size_t n)
     return trace;
 }
 
+/** Pairs each trace with an owned packed form, the shape the
+ *  campaign engine replays. */
+std::vector<BenchmarkTrace>
+benchmarks(std::initializer_list<const MemoryTrace *> traces)
+{
+    std::vector<BenchmarkTrace> out;
+    for (const MemoryTrace *trace : traces)
+        out.push_back({"trace" + std::to_string(out.size()), trace,
+                       std::make_shared<const PackedTrace>(*trace)});
+    return out;
+}
+
 TEST(GshareSweep, CoversRequestedRange)
 {
     const MemoryTrace trace = alternatingTrace(2000);
-    const auto result = sweepGshare(6, {&trace}, 2);
+    const auto result = sweepGshare(6, benchmarks({&trace}), 2);
     ASSERT_EQ(result.points.size(), 5u);
     EXPECT_EQ(result.points.front().historyBits, 2u);
     EXPECT_EQ(result.points.back().historyBits, 6u);
@@ -67,7 +82,7 @@ TEST(GshareSweep, CoversRequestedRange)
 TEST(GshareSweep, HistoryWinsOnAlternation)
 {
     const MemoryTrace trace = alternatingTrace(4000);
-    const auto result = sweepGshare(6, {&trace});
+    const auto result = sweepGshare(6, benchmarks({&trace}));
     // m = 0 is bimodal: ~50% error; any m >= 1 nails it.
     EXPECT_GT(result.points[0].average, 40.0);
     EXPECT_LT(result.points[1].average, 5.0);
@@ -77,7 +92,7 @@ TEST(GshareSweep, HistoryWinsOnAlternation)
 TEST(GshareSweep, ShortHistoryWinsOnAliasHeavyTrace)
 {
     const MemoryTrace trace = aliasHeavyTrace(60'000);
-    const auto result = sweepGshare(8, {&trace});
+    const auto result = sweepGshare(8, benchmarks({&trace}));
     // 4000 sites on 256 counters: long history only fragments.
     EXPECT_LT(result.best().historyBits, 8u);
     EXPECT_LT(result.best().average,
@@ -88,7 +103,7 @@ TEST(GshareSweep, AveragesAcrossTraces)
 {
     const MemoryTrace a = alternatingTrace(2000);
     const MemoryTrace b = alternatingTrace(2000);
-    const auto result = sweepGshare(4, std::vector<const MemoryTrace *>{&a, &b});
+    const auto result = sweepGshare(4, benchmarks({&a, &b}));
     for (const auto &point : result.points) {
         ASSERT_EQ(point.perBenchmark.size(), 2u);
         EXPECT_NEAR(point.average,
@@ -100,7 +115,7 @@ TEST(GshareSweep, AveragesAcrossTraces)
 TEST(GshareSweep, BestIsMinimum)
 {
     const MemoryTrace trace = aliasHeavyTrace(20'000);
-    const auto result = sweepGshare(6, {&trace});
+    const auto result = sweepGshare(6, benchmarks({&trace}));
     const auto &best = result.best();
     for (const auto &point : result.points)
         EXPECT_LE(best.average, point.average);
@@ -111,7 +126,7 @@ TEST(GshareSweep, ParallelMatchesSerialBitForBit)
     const MemoryTrace a = aliasHeavyTrace(20'000);
     const MemoryTrace b = alternatingTrace(4'000);
 
-    const std::vector<const MemoryTrace *> traces = {&a, &b};
+    const std::vector<BenchmarkTrace> traces = benchmarks({&a, &b});
     const auto serial = sweepGshare(6, traces, 0, 1);
     const auto parallel = sweepGshare(6, traces, 0, 4);
 
@@ -130,9 +145,7 @@ TEST(GshareSweep, ParallelMatchesSerialBitForBit)
 
 TEST(GshareSweepDeath, NoTracesPanics)
 {
-    // Explicit vector type: `{}` alone would be ambiguous between
-    // the trace-pointer and BenchmarkTrace overloads.
-    EXPECT_DEATH(sweepGshare(6, std::vector<const MemoryTrace *>{}),
+    EXPECT_DEATH(sweepGshare(6, std::vector<BenchmarkTrace>{}),
                  "at least one trace");
 }
 

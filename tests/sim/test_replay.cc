@@ -61,9 +61,6 @@ sharedPacked()
  * factory without extending this list.
  */
 const std::vector<std::string> kAllKindSpecs = {
-    "taken",
-    "nottaken",
-    "btfn:l=6",
     "bimodal:n=8",
     "gag:h=8",
     "gas:h=6,a=2",
@@ -101,24 +98,13 @@ TEST(ReplayCoverage, CoversEveryFactoryKind)
 
 TEST(ReplayCoverage, FastReplayKindsAreFactoryKinds)
 {
-    // hasFastReplay() must agree with the registry entry flags, and
-    // every fast kind must be a factory kind.
-    const auto kinds = knownPredictorKinds();
-    unsigned fast = 0;
-    for (const PredictorKindInfo &info : predictorKindInfos()) {
-        EXPECT_EQ(hasFastReplay(info.kind), info.fastReplay);
-        EXPECT_NE(std::find(kinds.begin(), kinds.end(), info.kind),
-                  kinds.end());
-        fast += info.fastReplay ? 1 : 0;
-    }
-    // The static predictors stay on the virtual loop; everything
-    // else runs on the kernel.
-    EXPECT_EQ(fast, kinds.size() - 3);
-    EXPECT_TRUE(hasFastReplay("filter"));
-    EXPECT_TRUE(hasFastReplay("gag"));
-    EXPECT_TRUE(hasFastReplay("perceptron"));
-    EXPECT_FALSE(hasFastReplay("btfn"));
-    EXPECT_FALSE(hasFastReplay("no-such-kind"));
+    // Every registered kind runs on the kernel, so fastReplayKind()
+    // is the kind of every parseable config naming one, and "" for
+    // anything else.
+    for (const PredictorKindInfo &info : predictorKindInfos())
+        EXPECT_EQ(fastReplayKind(info.example), info.kind);
+    EXPECT_EQ(fastReplayKind("no-such-kind"), "");
+    EXPECT_EQ(fastReplayKind("gshare:n"), "");
 }
 
 class ReplayEquivalence
@@ -247,7 +233,7 @@ TEST(ReplayDispatch, NullPackedUsesVirtualPath)
     EXPECT_EQ(actual.branches, expected.branches);
 }
 
-TEST(ReplayCampaign, PackedAndUnpackedCampaignsSerializeIdentically)
+TEST(ReplayCampaign, CampaignSerializesLikeTheVirtualLoop)
 {
     TraceCache cache;
     std::vector<BenchmarkTrace> benchmarks =
@@ -256,20 +242,31 @@ TEST(ReplayCampaign, PackedAndUnpackedCampaignsSerializeIdentically)
     ASSERT_NE(benchmarks[0].packed, nullptr);
 
     const std::vector<std::string> configs = {
-        "bimode:d=7", "gshare:n=8", "btfn:l=6", "not-a-kind"};
+        "bimode:d=7", "gshare:n=8", "perceptron:n=5,h=12", "not-a-kind"};
 
     Campaign packed_campaign;
     packed_campaign.addGrid(configs, benchmarks);
-
-    std::vector<BenchmarkTrace> unpacked = benchmarks;
-    unpacked[0].packed = nullptr;
-    Campaign virtual_campaign;
-    virtual_campaign.addGrid(configs, unpacked);
-
     const auto packed_results = packed_campaign.run(1);
-    const auto virtual_results = virtual_campaign.run(1);
 
-    // Default serialization excludes timing, so the two runs must be
+    // The same grid by hand on the virtual loop.
+    std::vector<JobResult> virtual_results(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        JobResult &job = virtual_results[i];
+        job.index = i;
+        job.benchmark = benchmarks[0].name;
+        job.configText = configs[i];
+        PredictorResult made = tryMakePredictor(configs[i]);
+        if (!made.ok()) {
+            job.error = made.error;
+            continue;
+        }
+        auto reader = benchmarks[0].trace->reader();
+        job.result = simulate(*made.predictor, reader);
+        job.result.benchmark = job.benchmark;
+        job.result.configText = job.configText;
+    }
+
+    // Default serialization excludes timing, so the two must be
     // byte-identical — the emitter-level form of the bit-identity
     // contract (including the error row for the bad config).
     std::ostringstream packed_json, virtual_json;

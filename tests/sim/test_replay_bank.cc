@@ -106,8 +106,6 @@ const std::map<std::string, std::vector<std::string>> kBankSpecs = {
 TEST(BankCoverage, CoversEveryFastReplayKind)
 {
     for (const std::string &kind : knownPredictorKinds()) {
-        if (!hasFastReplay(kind))
-            continue;
         EXPECT_TRUE(kBankSpecs.count(kind) == 1)
             << "no bank-equivalence specs for fast-replay kind '"
             << kind << "' — extend kBankSpecs";
@@ -119,9 +117,6 @@ TEST(BankCoverage, FastReplayKindIntrospection)
     EXPECT_EQ(fastReplayKind("gshare:n=8,h=4"), "gshare");
     EXPECT_EQ(fastReplayKind("bimode:d=7"), "bimode");
     EXPECT_EQ(fastReplayKind("perceptron:n=5,h=12"), "perceptron");
-    // Parseable but no bank kernel.
-    EXPECT_EQ(fastReplayKind("btfn:l=6"), "");
-    EXPECT_EQ(fastReplayKind("taken"), "");
     // Unparseable.
     EXPECT_EQ(fastReplayKind("gshare:n=notanumber"), "");
     EXPECT_EQ(fastReplayKind("no-such-kind"), "");
@@ -384,8 +379,17 @@ TEST(BankKernel, SingleLaneIsTimedAlone)
 
 TEST(BankKernel, RefusesUnknownKindUntouched)
 {
-    PredictorPtr predictor = makePredictor("btfn:l=6");
-    std::vector<BranchPredictor *> bank = {predictor.get()};
+    // A user subclass of the interface, of no registered type.
+    struct Unregistered : BranchPredictor
+    {
+        bool predict(std::uint64_t) const override { return true; }
+        void update(std::uint64_t, bool) override {}
+        void reset() override {}
+        std::string name() const override { return "unregistered"; }
+        std::uint64_t storageBits() const override { return 0; }
+    };
+    Unregistered predictor;
+    std::vector<BranchPredictor *> bank = {&predictor};
     std::vector<SimResult> results;
     EXPECT_FALSE(replayKernelBankAny(bank, sharedPacked(), {}, results));
     EXPECT_TRUE(results.empty());
@@ -455,11 +459,10 @@ TEST(BankCampaign, FusedMatchesUnfusedByteForByte)
 
     // A grid that exercises every scheduling path at once: a fusable
     // ladder, further fusable kinds (including the registry-promoted
-    // filter and gag), a non-fast kind (virtual loop), and a config
-    // error.
+    // filter and gag), a kind alone in its bank, and a config error.
     const std::vector<std::string> configs = {
         "gshare:n=6,h=3",  "gshare:n=8,h=4", "gshare:n=10,h=5",
-        "bimode:d=7",      "btfn:l=6",
+        "bimode:d=7",      "tournament:n=7",
         "filter:n=8,h=8,b=8,k=3", "filter:n=6,h=4,b=6,k=2",
         "gag:h=8",         "gag:h=10",
         "gshare:n=oops",

@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "predictors/static_predictors.hh"
 #include "predictors/bimodal.hh"
 #include "sim/simulator.hh"
 #include "trace/memory_trace.hh"
@@ -25,13 +24,15 @@ cond(std::uint64_t pc, bool taken)
     return record;
 }
 
-TEST(Simulator, ExactCountsWithStaticPredictor)
+TEST(Simulator, ExactCounts)
 {
+    // The counter starts weakly taken and never drops below it, so
+    // only the not-taken record is mispredicted.
     MemoryTrace trace;
     trace.append(cond(0x1000, true));
     trace.append(cond(0x1000, false));
     trace.append(cond(0x1000, true));
-    AlwaysTakenPredictor predictor;
+    BimodalPredictor predictor(4);
     auto reader = trace.reader();
     const SimResult result = simulate(predictor, reader);
     EXPECT_EQ(result.branches, 3u);
@@ -71,7 +72,7 @@ TEST(SimResult, ToJsonIsSelfDescribing)
 TEST(Simulator, EmptyTrace)
 {
     MemoryTrace trace;
-    AlwaysTakenPredictor predictor;
+    BimodalPredictor predictor(4);
     auto reader = trace.reader();
     const SimResult result = simulate(predictor, reader);
     EXPECT_EQ(result.branches, 0u);
@@ -81,11 +82,11 @@ TEST(Simulator, EmptyTrace)
 TEST(Simulator, SkipsNonConditionalRecords)
 {
     MemoryTrace trace;
-    trace.append(cond(0x1000, true));
+    trace.append(cond(0x1000, false));
     BranchRecord call = cond(0x1004, true);
     call.type = BranchType::Call;
     trace.append(call);
-    AlwaysNotTakenPredictor predictor;
+    BimodalPredictor predictor(4);
     auto reader = trace.reader();
     const SimResult result = simulate(predictor, reader);
     EXPECT_EQ(result.branches, 1u);
@@ -121,7 +122,7 @@ TEST(Simulator, RewindsTraceItself)
     auto reader = trace.reader();
     BranchRecord sink;
     ASSERT_TRUE(reader.next(sink)); // consume before simulating
-    AlwaysTakenPredictor predictor;
+    BimodalPredictor predictor(4);
     const SimResult result = simulate(predictor, reader);
     EXPECT_EQ(result.branches, 1u) << "simulate() must rewind";
 }
@@ -133,7 +134,9 @@ TEST(Simulator, PerBranchTracking)
         trace.append(cond(0x1000, true));
     for (int i = 0; i < 4; ++i)
         trace.append(cond(0x2000, i % 2 == 0));
-    AlwaysTakenPredictor predictor;
+    // Two separate counters that start weakly taken and never drop
+    // below it: only the two not-taken records of 0x2000 miss.
+    BimodalPredictor predictor(12);
     SimConfig config;
     config.trackPerBranch = true;
     auto reader = trace.reader();
@@ -158,22 +161,6 @@ TEST(Simulator, ResultCarriesPredictorMetadata)
     EXPECT_EQ(result.predictorName, "bimodal(n=10)");
     EXPECT_EQ(result.counterBits, 2048u);
     EXPECT_NEAR(result.counterKBytes(), 0.25, 1e-12);
-}
-
-TEST(Simulator, FeedsTargetsToBtfn)
-{
-    // BTFN needs observeTarget(); the simulator must call it.
-    MemoryTrace trace;
-    BranchRecord backward = cond(0x2000, true);
-    backward.target = 0x1000;
-    for (int i = 0; i < 5; ++i)
-        trace.append(backward);
-    BtfnPredictor predictor(8);
-    auto reader = trace.reader();
-    const SimResult result = simulate(predictor, reader);
-    // First encounter is unknown (predicts not-taken, actual taken);
-    // after that the backward sense predicts taken.
-    EXPECT_EQ(result.mispredictions, 1u);
 }
 
 } // namespace

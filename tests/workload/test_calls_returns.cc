@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "predictors/ras.hh"
 #include "workload/generator.hh"
 
 namespace bpsim
@@ -91,24 +90,6 @@ TEST(CallsReturns, CallsAndReturnsNestProperly)
     EXPECT_GT(matched, 0u);
     EXPECT_EQ(mismatched, 0u)
         << "every return must target its matching call site";
-}
-
-TEST(CallsReturns, RasPredictsGeneratedReturns)
-{
-    const MemoryTrace trace = generateWorkloadTrace(callSpec());
-    ReturnAddressStack ras(32);
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const BranchRecord &record = trace[i];
-        if (record.type == BranchType::Call)
-            ras.pushCall(record.pc);
-        else if (record.type == BranchType::Return)
-            ras.popReturn(record.target);
-    }
-    EXPECT_GT(ras.stats().returns, 1000u);
-    // Depth is bounded at 8, well under the 32-entry stack: the RAS
-    // must predict essentially every return.
-    EXPECT_GT(ras.stats().returnAccuracy(), 0.999);
-    EXPECT_EQ(ras.stats().overflows, 0u);
 }
 
 TEST(CallsReturns, SimulatorIgnoresNonConditionals)
