@@ -14,9 +14,10 @@
  * classes — which are only known after the whole run — so it replays
  * the trace a second time against a reset predictor (all predictors
  * here are deterministic, so the replay reproduces the same counter
- * assignments). The static kinds have no fast core, report no
- * counters and are refused; the perceptron's counters are its
- * perceptrons.
+ * assignments). Every registered kind has a fast core; a predictor
+ * of no registered type (a user subclass of BranchPredictor) has
+ * none, reports no counters and is refused. The perceptron's
+ * counters are its perceptrons.
  */
 
 #ifndef BPSIM_ANALYSIS_BIAS_ANALYSIS_HH

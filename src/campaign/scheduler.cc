@@ -98,7 +98,7 @@ CampaignScheduler::~CampaignScheduler()
 }
 
 std::optional<CampaignScheduler::Ticket>
-CampaignScheduler::admit(Job &&job, CompletionFn &&done, bool blocking)
+CampaignScheduler::submit(Job job, CompletionFn done)
 {
     // Classify for fusion outside the lock (fastReplayKind parses
     // the config text).
@@ -112,8 +112,6 @@ CampaignScheduler::admit(Job &&job, CompletionFn &&done, bool blocking)
             return std::nullopt;
         if (opts.maxPending == 0 || queue.size() < opts.maxPending)
             break;
-        if (!blocking)
-            return std::nullopt;
         spaceCv.wait(lock);
     }
     Pending pending;
@@ -126,18 +124,6 @@ CampaignScheduler::admit(Job &&job, CompletionFn &&done, bool blocking)
     ++counters.submitted;
     workCv.notify_one();
     return ticket;
-}
-
-std::optional<CampaignScheduler::Ticket>
-CampaignScheduler::submit(Job job, CompletionFn done)
-{
-    return admit(std::move(job), std::move(done), /*blocking=*/true);
-}
-
-std::optional<CampaignScheduler::Ticket>
-CampaignScheduler::trySubmit(Job job, CompletionFn done)
-{
-    return admit(std::move(job), std::move(done), /*blocking=*/false);
 }
 
 std::optional<std::vector<CampaignScheduler::Ticket>>
@@ -188,13 +174,6 @@ CampaignScheduler::cancel(Ticket ticket)
         return true;
     }
     return false;
-}
-
-void
-CampaignScheduler::pause()
-{
-    const std::lock_guard<std::mutex> lock(mu);
-    paused = true;
 }
 
 void

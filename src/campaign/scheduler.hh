@@ -12,12 +12,12 @@
  *
  *   - submit(Job, CompletionFn) -> Ticket admits one job and returns
  *     immediately; the completion callback fires (on a worker
- *     thread) when the job finishes. trySubmit() refuses instead of
- *     blocking when the pending queue is at Options::maxPending —
- *     the admission-control primitive the service daemon's
- *     backpressure is built on. trySubmitAll() admits a whole
- *     campaign atomically (all or nothing), so one client's grid is
- *     never half-accepted.
+ *     thread) when the job finishes, blocking while the pending
+ *     queue is at Options::maxPending. trySubmitAll() admits a
+ *     whole campaign atomically (all or nothing) and refuses
+ *     instead of blocking — the admission-control primitive the
+ *     service daemon's backpressure is built on — so one client's
+ *     grid is never half-accepted.
  *
  *   - Fusion happens at dispatch time, across submitters: when a
  *     worker goes idle it takes the oldest pending job and sweeps
@@ -88,7 +88,7 @@ class CampaignScheduler
          *  dispatch time (results are bit-identical either way). */
         bool fuse = true;
         /** Admission-control bound on the pending (undispatched)
-         *  queue; 0 = unbounded. trySubmit() fails and submit()
+         *  queue; 0 = unbounded. trySubmitAll() fails and submit()
          *  blocks when the queue is full. */
         std::size_t maxPending = 0;
         /** Start with dispatch paused; submit() still admits jobs.
@@ -130,10 +130,6 @@ class CampaignScheduler
      */
     std::optional<Ticket> submit(Job job, CompletionFn done);
 
-    /** Non-blocking admission: std::nullopt when the queue is full
-     *  or the scheduler is shutting down. */
-    std::optional<Ticket> trySubmit(Job job, CompletionFn done);
-
     /**
      * Atomically admits every job or none (std::nullopt when the
      * batch would overflow maxPending or the scheduler is shutting
@@ -150,10 +146,8 @@ class CampaignScheduler
      */
     bool cancel(Ticket ticket);
 
-    /** Holds back dispatch; pending jobs stay queued. */
-    void pause();
-
-    /** Releases dispatch (also implied by drain()). */
+    /** Releases a scheduler started with Options::paused (also
+     *  implied by drain()). */
     void resume();
 
     /**
@@ -199,8 +193,6 @@ class CampaignScheduler
      *  and returns with @ref mu held. */
     std::vector<Pending> takeBatch(std::unique_lock<std::mutex> &lock);
     void deliver(const Pending &pending, JobResult result);
-    std::optional<Ticket> admit(Job &&job, CompletionFn &&done,
-                                bool blocking);
 
     const Options opts;
     unsigned resolvedWorkers = 1;

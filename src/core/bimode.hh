@@ -102,23 +102,11 @@ class BiModePredictor : public FastPredictorBase<BiModePredictor>
             pcIndexBits(pc, cfg.choiceIndexBits));
     }
 
-    /** Devirtualized hot path: the direction of predict(). */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        std::size_t choice_index, direction_index;
-        indicesFor(pc, choice_index, direction_index);
-        const std::uint32_t bank = choice.predictTaken(choice_index)
-            ? kTakenBank : kNotTakenBank;
-        return banks[bank].predictTaken(direction_index);
-    }
-
     /**
-     * Fused hot path: predict and update sharing one set of table
-     * lookups. Returns the prediction predictFast() would have made
-     * immediately before updateFast(); the state transition is
-     * identical to predict-then-update. @p hook hears the serving
-     * counter, bank-major: (bank << directionIndexBits) | index.
+     * Devirtualized hot path: predicts, then trains, sharing one set
+     * of table lookups; returns the prediction made before training.
+     * @p hook hears the serving counter, bank-major:
+     * (bank << directionIndexBits) | index.
      */
     template <typename Hook = NoCounterHook>
     bool
@@ -154,13 +142,6 @@ class BiModePredictor : public FastPredictorBase<BiModePredictor>
 
         history.push(taken);
         return prediction;
-    }
-
-    /** Devirtualized hot path: the state transition of update(). */
-    void
-    updateFast(std::uint64_t pc, bool taken)
-    {
-        (void)stepFast(pc, taken);
     }
 
     const BiModeConfig &config() const { return cfg; }

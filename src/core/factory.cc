@@ -98,16 +98,6 @@ PredictorSpec::get(const std::string &key, unsigned def) const
     return it == params.end() ? def : it->second;
 }
 
-unsigned
-PredictorSpec::require(const std::string &key) const
-{
-    const auto it = params.find(key);
-    if (it == params.end())
-        BPSIM_FATAL("predictor '" << kind << "' requires parameter "
-                    << key << "=<value>");
-    return it->second;
-}
-
 namespace
 {
 

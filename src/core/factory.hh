@@ -69,9 +69,6 @@ struct PredictorSpec
 
     /** Parameter lookup with a default. */
     unsigned get(const std::string &key, unsigned def) const;
-
-    /** Parameter lookup that fatal()s when the key is missing. */
-    unsigned require(const std::string &key) const;
 };
 
 /** Outcome of PredictorSpec::tryParse(). */

@@ -11,8 +11,10 @@
  *    doc string) and a documented example config (`example`),
  *  - the builder (`build()`).
  *
- * Every entry's type has a fast core (predictors/fast_base.hh), so
- * every registered kind runs on the devirtualized replay kernel.
+ * Every entry's type has a fast core (predictors/fast_base.hh): one
+ * stepFast() that the replay kernels call directly and that its
+ * virtual step() wraps, so every registered kind runs on the
+ * devirtualized replay kernel through the same code as simulate().
  *
  * Every dispatch site in the system is a fold over this list:
  * core/factory.cc derives construction, parameter validation,

@@ -51,39 +51,10 @@ class AgreePredictor : public FastPredictorBase<AgreePredictor>
     std::uint64_t counterBits() const override;
     std::uint64_t directionCounters() const override;
 
-    /** Devirtualized hot path: the direction of predict(). */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        const std::size_t bias_index = biasIndexFor(pc);
-        // An unseen branch has no bias yet; treat the bias as taken
-        // (matching the counters' weakly-taken start).
-        const bool bias =
-            biasValid[bias_index] ? biasBit[bias_index] != 0 : true;
-        return counters.predictTaken(counterIndexFor(pc)) == bias;
-    }
-
-    /** Devirtualized hot path: the state transition of update(). */
-    void
-    updateFast(std::uint64_t pc, bool taken)
-    {
-        const std::size_t bias_index = biasIndexFor(pc);
-        if (!biasValid[bias_index]) {
-            // First encounter fixes the biasing bit to the outcome.
-            biasValid[bias_index] = 1;
-            biasBit[bias_index] = taken ? 1 : 0;
-        }
-        const bool bias = biasBit[bias_index] != 0;
-        counters.update(counterIndexFor(pc), taken == bias);
-        history.push(taken);
-    }
-
-    /** Fused hot path: predict + update sharing one set of lookups;
-     *  bit-identical to predictFast() then updateFast(). The
-     *  prediction uses the pre-update bias (default taken for an
-     *  unseen branch); the counter trains against the post-capture
-     *  bias, exactly as the split path does. Reports the agree
-     *  counter (its table index) to @p hook. */
+    /** Devirtualized hot path: predicts, then trains. The
+     *  prediction uses the pre-update bias; the counter trains
+     *  against the post-capture bias. Reports the agree counter (its
+     *  table index) to @p hook. */
     template <typename Hook = NoCounterHook>
     bool
     stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})
@@ -91,10 +62,13 @@ class AgreePredictor : public FastPredictorBase<AgreePredictor>
         const std::size_t bias_index = biasIndexFor(pc);
         const std::size_t index = counterIndexFor(pc);
         hook.counter(index);
+        // An unseen branch has no bias yet; treat the bias as taken
+        // (matching the counters' weakly-taken start).
         const bool old_bias =
             biasValid[bias_index] ? biasBit[bias_index] != 0 : true;
         const bool prediction = counters.predictTaken(index) == old_bias;
         if (!biasValid[bias_index]) {
+            // First encounter fixes the biasing bit to the outcome.
             biasValid[bias_index] = 1;
             biasBit[bias_index] = taken ? 1 : 0;
         }

@@ -38,26 +38,9 @@ class BimodalPredictor : public FastPredictorBase<BimodalPredictor>
         return static_cast<std::size_t>(pcIndexBits(pc, indexBits));
     }
 
-    /**
-     * Devirtualized hot path for the replay kernel: the direction of
-     * predict(), which derives from it.
-     */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        return counters.predictTaken(indexFor(pc));
-    }
-
-    /** Devirtualized hot path: the state transition of update(). */
-    void
-    updateFast(std::uint64_t pc, bool taken)
-    {
-        counters.update(indexFor(pc), taken);
-    }
-
-    /** Fused hot path: predict + update sharing one index/lookup;
-     *  bit-identical to predictFast() then updateFast(). Reports the
-     *  serving counter (its table index) to @p hook. */
+    /** Devirtualized hot path for the replay kernel, and the core
+     *  of the virtual step(): predicts, then trains the serving
+     *  counter. Reports it (its table index) to @p hook. */
     template <typename Hook = NoCounterHook>
     bool
     stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})

@@ -6,17 +6,14 @@
  * Every registered predictor (core/registry.hh) implements a
  * non-virtual core —
  *
- *   bool predictFast(pc) const              direction only
- *   void updateFast(pc, taken)              state transition
- *   bool stepFast(pc, taken, hook)          fused predict+update
- *   void resetFast()                        power-on state
+ *   bool stepFast(pc, taken, hook)   predict, then train on taken
+ *   void resetFast()                 power-on state
  *
  * — which the replay kernel (sim/replay_kernel.hh) calls directly.
- * This base derives the virtual predict()/update()/reset() from that
- * core, so the virtual path and the fast path are the same code by
- * construction: the bit-identity contract between simulate() and
- * replayKernel() cannot drift because there is no second
- * implementation to drift.
+ * This base derives the virtual step()/reset() from that core, so the
+ * virtual path and the fast path are the same code by construction:
+ * the bit-identity contract between simulate() and replayKernel()
+ * cannot drift because there is no second implementation to drift.
  *
  * The counter hook: stepFast() calls hook.counter(id) exactly once,
  * with the global id of the direction counter its prediction read,
@@ -65,33 +62,31 @@ servingCounter(Pred predictor, std::uint64_t pc)
     return hook.id;
 }
 
+/** Direction @p predictor predicts for @p pc in its current state,
+ *  read off a stepped copy; the caller's predictor is untouched. */
+template <typename Pred>
+bool
+predictionFor(Pred predictor, std::uint64_t pc)
+{
+    return predictor.stepFast(pc, false);
+}
+
 /** Derives the virtual predictor interface from Derived's
- *  non-virtual fast core (predictFast/updateFast/resetFast). */
+ *  non-virtual fast core (stepFast/resetFast). */
 template <typename Derived>
 class FastPredictorBase : public BranchPredictor
 {
   public:
     bool
-    predict(std::uint64_t pc) const final
+    step(std::uint64_t pc, bool taken) final
     {
-        return self().predictFast(pc);
-    }
-
-    void
-    update(std::uint64_t pc, bool taken) final
-    {
-        self().updateFast(pc, taken);
+        return self().stepFast(pc, taken);
     }
 
     void reset() final { self().resetFast(); }
 
   private:
     Derived &self() { return static_cast<Derived &>(*this); }
-    const Derived &
-    self() const
-    {
-        return static_cast<const Derived &>(*this);
-    }
 };
 
 } // namespace bpsim

@@ -74,28 +74,11 @@ class FilterPredictor : public FastPredictorBase<FilterPredictor>
             pcIndexBits(pc, cfg.filterIndexBits));
     }
 
-    /** Devirtualized hot path: the direction of predict(). */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        const FilterEntry &entry = filter[filterIndexFor(pc)];
-        if (entry.runLength == runSaturation)
-            return entry.direction != 0;
-        return pht.predictTaken(phtIndexFor(pc));
-    }
-
-    /** Devirtualized hot path: the state transition of update(). */
-    void
-    updateFast(std::uint64_t pc, bool taken)
-    {
-        (void)stepFast(pc, taken);
-    }
-
     /**
-     * Fused hot path: predict + update sharing the filter-entry
-     * lookup and one PHT index; bit-identical to predictFast() then
-     * updateFast(). A filtered branch bypasses the PHT on both
-     * sides, so the fused path touches the PHT at most once.
+     * Devirtualized hot path: predicts, then trains, sharing the
+     * filter-entry lookup and one PHT index. A filtered branch
+     * bypasses the PHT on both sides, so a step touches the PHT at
+     * most once.
      * @p hook hears the PHT index, or pht.size() + the filter index
      * when the filter served.
      */

@@ -53,23 +53,8 @@ class GsharePredictor : public FastPredictorBase<GsharePredictor>
         return static_cast<std::size_t>(address ^ history.value());
     }
 
-    /** Devirtualized hot path: the direction of predict(). */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        return counters.predictTaken(indexFor(pc));
-    }
-
-    /** Devirtualized hot path: the state transition of update(). */
-    void
-    updateFast(std::uint64_t pc, bool taken)
-    {
-        counters.update(indexFor(pc), taken);
-        history.push(taken);
-    }
-
-    /** Fused hot path: predict + update sharing one index/lookup;
-     *  bit-identical to predictFast() then updateFast(). Reports the
+    /** Devirtualized hot path: predicts, then trains the serving
+     *  counter and shifts the outcome into the history. Reports the
      *  serving counter (its table index) to @p hook. */
     template <typename Hook = NoCounterHook>
     bool

@@ -72,21 +72,9 @@ class GskewPredictor : public FastPredictorBase<GskewPredictor>
             bankHash(bank, address, history.value(), cfg.bankIndexBits));
     }
 
-    /** Devirtualized hot path: the direction of predict(). */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        std::size_t indices[3];
-        indicesFor(pc, indices);
-        const int votes = static_cast<int>(banks[0].predictTaken(indices[0])) +
-                          static_cast<int>(banks[1].predictTaken(indices[1])) +
-                          static_cast<int>(banks[2].predictTaken(indices[2]));
-        return votes >= 2;
-    }
-
-    /** Fused hot path: predict + update sharing one set of bank
-     *  hashes and lookups; bit-identical to predictFast() then
-     *  updateFast(). The vote has no single serving counter: @p hook
+    /** Devirtualized hot path: predicts, then trains, sharing one
+     *  set of bank hashes and lookups. The vote has no single
+     *  serving counter: @p hook
      *  hears bank 0's (the address-indexed bank) as the
      *  representative. */
     template <typename Hook = NoCounterHook>
@@ -124,13 +112,6 @@ class GskewPredictor : public FastPredictorBase<GskewPredictor>
         }
         history.push(taken);
         return prediction;
-    }
-
-    /** Devirtualized hot path: the state transition of update(). */
-    void
-    updateFast(std::uint64_t pc, bool taken)
-    {
-        (void)stepFast(pc, taken);
     }
 
     const GskewConfig &config() const { return cfg; }

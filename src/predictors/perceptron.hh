@@ -103,15 +103,9 @@ class PerceptronPredictor
         return {weights.data() + p * stride, history.bits() + 1u};
     }
 
-    /** Devirtualized hot path: the direction of predict(). */
-    bool predictFast(std::uint64_t pc) const { return outputFor(pc) >= 0; }
-
-    /** Devirtualized hot path: the state transition of update(). */
-    void updateFast(std::uint64_t pc, bool taken) { stepFast(pc, taken); }
-
-    /** Fused hot path: computes y once, trains the row on it and
-     *  shifts the history; bit-identical to predictFast() then
-     *  updateFast(). Reports the serving perceptron to @p hook. */
+    /** Devirtualized hot path: computes y once, predicts y >= 0,
+     *  trains the row on it and shifts the history. Reports the
+     *  serving perceptron to @p hook. */
     template <typename Hook = NoCounterHook>
     bool
     stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})

@@ -3,10 +3,10 @@
  * The branch predictor interface.
  *
  * All predictors in this project are conditional-direction predictors
- * operated trace-driven: the harness calls predict(pc), then
- * update(pc, outcome) with the resolved direction (the paper's
- * methodology; no speculative-history repair is modelled because the
- * paper models none).
+ * operated trace-driven: the harness calls step(pc, outcome), which
+ * predicts the branch and then trains on its resolved direction (the
+ * paper's methodology; no speculative-history repair is modelled
+ * because the paper models none).
  *
  * Which 2-bit counter served a prediction is not part of this
  * interface: a fast-core predictor reports it through the counter
@@ -34,15 +34,11 @@ class BranchPredictor
     virtual ~BranchPredictor() = default;
 
     /**
-     * Predicts the direction of the branch at @p pc.
-     *
-     * Must not mutate predictor state; speculation effects are out of
-     * scope for this trace-driven study.
+     * Predicts the branch at @p pc, then trains on its resolved
+     * direction @p taken. Returns the prediction made before
+     * training, which never depends on @p taken.
      */
-    virtual bool predict(std::uint64_t pc) const = 0;
-
-    /** Trains the predictor with the resolved direction of @p pc. */
-    virtual void update(std::uint64_t pc, bool taken) = 0;
+    virtual bool step(std::uint64_t pc, bool taken) = 0;
 
     /** Restores the power-on state (including history registers). */
     virtual void reset() = 0;

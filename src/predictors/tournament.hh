@@ -42,30 +42,13 @@ class TournamentPredictor : public FastPredictorBase<TournamentPredictor>
     /** Bimodal counters first, then gshare's, offset past them. */
     std::uint64_t directionCounters() const override;
 
-    /** Devirtualized hot path: the direction of predict(). */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        return meta.predictTaken(metaIndexFor(pc))
-                   ? gshare.predictFast(pc)
-                   : bimodal.predictFast(pc);
-    }
-
-    /** Devirtualized hot path: the state transition of update(). */
-    void
-    updateFast(std::uint64_t pc, bool taken)
-    {
-        (void)stepFast(pc, taken);
-    }
-
     /**
-     * Fused hot path: predict + update sharing the meta lookup and
-     * the component predictions; bit-identical to predictFast() then
-     * updateFast(). The components are state-independent of each
-     * other and of the meta table, so fusing their predict/update
-     * pairs cannot reorder any visible state transition. @p hook
-     * hears the selected component's counter, gshare's offset past
-     * the bimodal table.
+     * Devirtualized hot path: both components predict and train, and
+     * the meta counter picks which prediction to return. The
+     * components are state-independent of each other and of the meta
+     * table, so stepping them in place cannot reorder any visible
+     * state transition. @p hook hears the selected component's
+     * counter, gshare's offset past the bimodal table.
      */
     template <typename Hook = NoCounterHook>
     bool
@@ -105,12 +88,6 @@ class TournamentPredictor : public FastPredictorBase<TournamentPredictor>
     CounterTable &metaTableRef() { return meta; }
 
   private:
-    std::size_t
-    metaIndexFor(std::uint64_t pc) const
-    {
-        return static_cast<std::size_t>(pcIndexBits(pc, metaIndexBits));
-    }
-
     /** Component 0, selected while the meta counter says not-taken. */
     BimodalPredictor bimodal;
     /** Component 1, selected while the meta counter says taken. */

@@ -75,26 +75,12 @@ class TwoLevelPredictor : public FastPredictorBase<TwoLevelPredictor>
             (pht << cfg.historyBits) | history);
     }
 
-    /** Devirtualized hot path: the direction of predict(). The scope
-     *  branch is perfectly predictable (fixed per instance), so one
-     *  generic core serves all four taxonomy points. */
-    bool
-    predictFast(std::uint64_t pc) const
-    {
-        return counters.predictTaken(indexFor(pc));
-    }
-
-    /** Devirtualized hot path: the state transition of update(). */
-    void
-    updateFast(std::uint64_t pc, bool taken)
-    {
-        counters.update(indexFor(pc), taken);
-        pushHistory(pc, taken);
-    }
-
-    /** Fused hot path: predict + update sharing one second-level
-     *  index; bit-identical to predictFast() then updateFast().
-     *  Reports the serving counter (its PHT index) to @p hook. */
+    /** Devirtualized hot path: predicts, then trains the serving
+     *  counter and shifts the outcome into the history register the
+     *  scope selects. The scope branch is perfectly predictable
+     *  (fixed per instance), so one generic core serves all four
+     *  taxonomy points. Reports the serving counter (its PHT index)
+     *  to @p hook. */
     template <typename Hook = NoCounterHook>
     bool
     stepFast(std::uint64_t pc, bool taken, Hook &&hook = {})

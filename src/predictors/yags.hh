@@ -56,14 +56,8 @@ class YagsPredictor : public FastPredictorBase<YagsPredictor>
     std::uint64_t counterBits() const override;
     std::uint64_t directionCounters() const override;
 
-    /** Devirtualized hot path: the direction of predict(). */
-    bool predictFast(std::uint64_t pc) const
-    {
-        return lookupFor(pc).prediction;
-    }
-
-    /** Fused hot path: predict + update sharing one lookupFor();
-     *  bit-identical to predictFast() then updateFast(). @p hook
+    /** Devirtualized hot path: predicts, then trains, sharing one
+     *  lookupFor(). @p hook
      *  hears cache * cacheSize + the cache index on a hit, else
      *  2 * cacheSize + the choice index. */
     template <typename Hook = NoCounterHook>
@@ -108,13 +102,6 @@ class YagsPredictor : public FastPredictorBase<YagsPredictor>
 
         history.push(taken);
         return look.prediction;
-    }
-
-    /** Devirtualized hot path: the state transition of update(). */
-    void
-    updateFast(std::uint64_t pc, bool taken)
-    {
-        (void)stepFast(pc, taken);
     }
 
     struct CacheEntry

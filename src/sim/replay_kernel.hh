@@ -4,9 +4,9 @@
  *
  * replayKernel() is the hot loop of the project: it streams a
  * PackedTrace (contiguous pc array + taken bitmap, conditionals only)
- * through a *concrete* predictor type, so every predict/update call
- * inlines instead of going through the BranchPredictor vtable, and
- * the taken bitmap is loaded one 64-branch word at a time.
+ * through a *concrete* predictor type, so every step inlines instead
+ * of going through the BranchPredictor vtable, and the taken bitmap
+ * is loaded one 64-branch word at a time.
  * replayKernelBank() is its multi-configuration form: one trace pass
  * steps a contiguous bank of same-kind instances, which is how
  * campaign jobs sharing a trace are fused (campaign/campaign.cc).
@@ -14,10 +14,9 @@
  * Bit-identity contract: for any predictor P and trace T,
  * replayKernel(P, pack(T)) and simulate(P, T) must produce identical
  * branches/mispredictions/takenBranches and leave P in the identical
- * state. The kernel leans on one invariant of the virtual loop:
- * predict() is const and side-effect-free, so warm-up records (whose
- * predictions are discarded) can skip prediction entirely and only
- * train.
+ * state. Both loops run the same stepFast() per record — the virtual
+ * step() is a thin wrapper over it — so warm-up records, whose
+ * predictions are discarded, step exactly as measured ones do.
  *
  * tests/sim/test_replay.cc enforces the contract for every
  * factory-constructible spec.
@@ -67,15 +66,12 @@ countTakenInRange(const PackedTrace &packed, std::size_t from,
 
 /**
  * Replays @p packed through @p predictor using its non-virtual
- * predictFast()/updateFast() methods.
+ * stepFast().
  *
  * @tparam Pred a concrete predictor type providing
- *         `void updateFast(std::uint64_t pc, bool taken)` (the state
- *         transition of its virtual update()) and
  *         `bool stepFast(std::uint64_t pc, bool taken, Hook &hook)`
- *         (fused predict + update sharing one set of table lookups,
- *         bit-identical to predict-then-update, reporting the serving
- *         counter to the hook).
+ *         (predict, then train on @p taken, reporting the serving
+ *         counter to the hook; the core of its virtual step()).
  * @tparam Probe accounting sink (sim/probe.hh), passed to stepFast()
  *         as its counter hook; the default NullProbe instantiates
  *         the exact unprobed loop. The probe sees every *measured*
@@ -100,10 +96,9 @@ replayKernel(Pred &predictor, const PackedTrace &packed,
     const auto start = std::chrono::steady_clock::now();
 
     // Warm-up records train the predictor but are excluded from the
-    // statistics. Predictions are side-effect-free, so skipping them
-    // here leaves the predictor in the same state as the virtual loop.
+    // statistics: their predictions are discarded.
     for (std::size_t i = 0; i < warmup; ++i)
-        predictor.updateFast(pcs[i], packed.taken(i));
+        (void)predictor.stepFast(pcs[i], packed.taken(i));
 
     // Measured region: stream the taken bitmap one 64-branch word at
     // a time, shifting outcomes out of a register instead of
@@ -218,7 +213,7 @@ replaySimdBank(std::vector<Pred> &bank, const PackedTrace &packed,
  * config) must produce exactly the counts of replayKernel(bank[i],
  * packed, config) run alone, and leave bank[i] in the identical
  * state. This holds by construction — each lane runs the same
- * stepFast()/updateFast() sequence it would run alone — and is
+ * stepFast() sequence it would run alone — and is
  * enforced for every fast-replay kind by
  * tests/sim/test_replay_bank.cc.
  *
@@ -293,7 +288,7 @@ replayKernelBank(std::vector<Pred> &bank, const PackedTrace &packed,
         for (std::size_t l = 0; l < lanes; ++l) {
             std::uint64_t word = block_word;
             for (std::size_t j = i; j < block_end; ++j, word >>= 1)
-                lane[l].updateFast(pcs[j], (word & 1) != 0);
+                (void)lane[l].stepFast(pcs[j], (word & 1) != 0);
         }
         i = block_end;
     }

@@ -92,8 +92,7 @@ simulate(BranchPredictor &predictor, TraceReader &trace,
     while (trace.next(record)) {
         if (!record.isConditional())
             continue;
-        const bool prediction = predictor.predict(record.pc);
-        predictor.update(record.pc, record.taken);
+        const bool prediction = predictor.step(record.pc, record.taken);
         ++seen;
         if (seen <= config.warmupBranches)
             continue;

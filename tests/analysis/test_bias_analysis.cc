@@ -200,8 +200,7 @@ TEST(BiasAnalysis, PerceptronStreamsMatchTheCampaign)
 /** A user subclass of the predictor interface with no counters. */
 struct CounterlessPredictor : BranchPredictor
 {
-    bool predict(std::uint64_t) const override { return true; }
-    void update(std::uint64_t, bool) override {}
+    bool step(std::uint64_t, bool) override { return true; }
     void reset() override {}
     std::string name() const override { return "counterless"; }
     std::uint64_t storageBits() const override { return 0; }

@@ -171,14 +171,15 @@ TEST(CampaignScheduler, TrySubmitRefusesWhenQueueIsFull)
         CampaignScheduler::Options{1, true, 3, true});
     Sink sink;
     for (int i = 0; i < 3; ++i) {
-        ASSERT_TRUE(scheduler
-                        .trySubmit(makeJob(i, "gshare:n=6", "b", packed),
-                                   sink.fn())
-                        .has_value());
+        ASSERT_TRUE(
+            scheduler
+                .trySubmitAll({makeJob(i, "gshare:n=6", "b", packed)},
+                              sink.fn())
+                .has_value());
     }
     EXPECT_FALSE(scheduler
-                     .trySubmit(makeJob(3, "gshare:n=6", "b", packed),
-                                sink.fn())
+                     .trySubmitAll({makeJob(3, "gshare:n=6", "b", packed)},
+                                   sink.fn())
                      .has_value());
     EXPECT_EQ(scheduler.pendingJobs(), 3u);
     scheduler.drain();
@@ -245,8 +246,8 @@ TEST(CampaignScheduler, ShutdownRefusesNewWork)
                              sink.fn())
                      .has_value());
     EXPECT_FALSE(scheduler
-                     .trySubmit(makeJob(0, "gshare:n=6", "b", packed),
-                                sink.fn())
+                     .trySubmitAll({makeJob(0, "gshare:n=6", "b", packed)},
+                                   sink.fn())
                      .has_value());
 }
 

@@ -41,7 +41,7 @@ TEST(BiMode, PaperInitialization)
 TEST(BiMode, InitialPredictionIsTaken)
 {
     BiModePredictor predictor(BiModeConfig::canonical(6));
-    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
 }
 
 TEST(BiMode, ChoiceSelectsBank)
@@ -55,8 +55,8 @@ TEST(BiMode, ChoiceSelectsBank)
     EXPECT_EQ(servingCounter(predictor, pc) >> d,
               BiModePredictor::kTakenBank);
     // Train not-taken twice: choice drops to the not-taken side.
-    predictor.update(pc, false);
-    predictor.update(pc, false);
+    predictor.step(pc, false);
+    predictor.step(pc, false);
     EXPECT_EQ(servingCounter(predictor, pc) >> d,
               BiModePredictor::kNotTakenBank);
 }
@@ -69,8 +69,8 @@ TEST(BiMode, PartialUpdateLeavesUnselectedBankUntouched)
     const std::uint8_t nt_before = predictor.notTakenBank().value(index);
     // Choice selects the taken bank; updating must not write the
     // not-taken bank.
-    predictor.update(pc, true);
-    predictor.update(pc, false);
+    predictor.step(pc, true);
+    predictor.step(pc, false);
     EXPECT_EQ(predictor.notTakenBank().value(index), nt_before);
 }
 
@@ -82,7 +82,7 @@ TEST(BiMode, FullUpdateAblationWritesBothBanks)
     const std::uint64_t pc = 0x1000;
     const std::size_t index = predictor.directionIndexFor(pc);
     const std::uint8_t nt_before = predictor.notTakenBank().value(index);
-    predictor.update(pc, true);
+    predictor.step(pc, true);
     EXPECT_EQ(predictor.notTakenBank().value(index), nt_before + 1);
 }
 
@@ -103,7 +103,7 @@ TEST(BiMode, ChoiceUpdateException)
 
     // Drive the shared taken-bank counter to strongly-not-taken via
     // pc_a (whose choice is still taken-side during the updates).
-    predictor.update(pc_a, false);
+    predictor.step(pc_a, false);
     ASSERT_EQ(predictor.takenBank().value(
                   predictor.directionIndexFor(pc_a)), 1u);
 
@@ -113,8 +113,7 @@ TEST(BiMode, ChoiceUpdateException)
     // stay at weakly-taken.
     const std::size_t choice_b = predictor.choiceIndexFor(pc_b);
     ASSERT_EQ(predictor.choiceTable().value(choice_b), 2u);
-    ASSERT_FALSE(predictor.predict(pc_b));
-    predictor.update(pc_b, false);
+    ASSERT_FALSE(predictor.step(pc_b, false));
     EXPECT_EQ(predictor.choiceTable().value(choice_b), 2u)
         << "choice must not be evicted from a bank serving it well";
 }
@@ -125,10 +124,10 @@ TEST(BiMode, AlwaysUpdateChoiceAblationRemovesException)
     cfg.alwaysUpdateChoice = true;
     BiModePredictor predictor(cfg);
     const std::uint64_t pc_a = 0x1000, pc_b = 0x1010;
-    predictor.update(pc_a, false);
+    predictor.step(pc_a, false);
     const std::size_t choice_b = predictor.choiceIndexFor(pc_b);
     ASSERT_EQ(predictor.choiceTable().value(choice_b), 2u);
-    predictor.update(pc_b, false);
+    predictor.step(pc_b, false);
     EXPECT_EQ(predictor.choiceTable().value(choice_b), 1u)
         << "ablation: choice is trained on every branch";
 }
@@ -139,7 +138,7 @@ TEST(BiMode, ChoiceTrainsOnAgreement)
     const std::uint64_t pc = 0x1000;
     const std::size_t choice = predictor.choiceIndexFor(pc);
     ASSERT_EQ(predictor.choiceTable().value(choice), 2u);
-    predictor.update(pc, true);
+    predictor.step(pc, true);
     EXPECT_EQ(predictor.choiceTable().value(choice), 3u);
 }
 
@@ -163,15 +162,11 @@ TEST(BiMode, DeAliasesOppositeBiasedBranches)
 
     int bimode_wrong = 0, gshare_wrong = 0;
     for (int i = 0; i < 200; ++i) {
-        bimode_wrong += bimode.predict(pc_taken) != true;
-        bimode.update(pc_taken, true);
-        gshare_wrong += gshare.predict(pc_taken) != true;
-        gshare.update(pc_taken, true);
+        bimode_wrong += bimode.step(pc_taken, true) != true;
+        gshare_wrong += gshare.step(pc_taken, true) != true;
 
-        bimode_wrong += bimode.predict(pc_not_taken) != false;
-        bimode.update(pc_not_taken, false);
-        gshare_wrong += gshare.predict(pc_not_taken) != false;
-        gshare.update(pc_not_taken, false);
+        bimode_wrong += bimode.step(pc_not_taken, false) != false;
+        gshare_wrong += gshare.step(pc_not_taken, false) != false;
     }
     EXPECT_LE(bimode_wrong, 4)
         << "bi-mode must absorb the alias after brief training";
@@ -189,8 +184,8 @@ TEST(BiMode, CounterIdsAreBankMajor)
     EXPECT_EQ(id, bank_size + predictor.directionIndexFor(pc));
     EXPECT_LT(id, predictor.directionCounters());
     // After the choice flips, ids come from the not-taken bank.
-    predictor.update(pc, false);
-    predictor.update(pc, false);
+    predictor.step(pc, false);
+    predictor.step(pc, false);
     id = servingCounter(predictor, pc);
     EXPECT_EQ(id, predictor.directionIndexFor(pc));
     EXPECT_LT(id, bank_size);
@@ -206,7 +201,7 @@ TEST(BiMode, HistoryAffectsDirectionIndexOnly)
     const std::uint64_t pc = 0x1000;
     const std::size_t choice_before = predictor.choiceIndexFor(pc);
     const std::size_t dir_before = predictor.directionIndexFor(pc);
-    predictor.update(pc, true);
+    predictor.step(pc, true);
     EXPECT_EQ(predictor.choiceIndexFor(pc), choice_before)
         << "the choice table is indexed by address only";
     EXPECT_EQ(predictor.directionIndexFor(pc), dir_before ^ 1u)
@@ -240,15 +235,15 @@ TEST(BiMode, ResetReproducesFreshBehavior)
     std::vector<bool> outcomes;
     std::uint64_t pc = 0x1000;
     for (int i = 0; i < 200; ++i) {
-        predictor.update(pc, i % 3 == 0);
+        predictor.step(pc, i % 3 == 0);
         pc += 4 * ((i % 5) + 1);
     }
     predictor.reset();
     pc = 0x1000;
     for (int i = 0; i < 200; ++i) {
-        EXPECT_EQ(predictor.predict(pc), fresh.predict(pc)) << i;
-        predictor.update(pc, i % 3 == 0);
-        fresh.update(pc, i % 3 == 0);
+        EXPECT_EQ(predictor.step(pc, i % 3 == 0),
+                  fresh.step(pc, i % 3 == 0))
+            << i;
         pc += 4 * ((i % 5) + 1);
     }
 }
@@ -299,11 +294,11 @@ TEST_P(BiModeSizeTest, LearnsStrongBiasBothDirections)
 {
     BiModePredictor predictor(BiModeConfig::canonical(GetParam()));
     for (int i = 0; i < 50; ++i) {
-        predictor.update(0x1000, true);
-        predictor.update(0x2004, false);
+        predictor.step(0x1000, true);
+        predictor.step(0x2004, false);
     }
-    EXPECT_TRUE(predictor.predict(0x1000));
-    EXPECT_FALSE(predictor.predict(0x2004));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
+    EXPECT_FALSE(predictionFor(predictor, 0x2004));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BiModeSizeTest,

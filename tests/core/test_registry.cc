@@ -80,10 +80,8 @@ TEST(Registry, ResetRestoresThePowerOnState)
         // Drive the predictor away from the power-on state with a
         // pattern that flips directions.
         for (int round = 0; round < 4; ++round) {
-            for (const std::uint64_t pc : pcs) {
-                trained->predict(pc);
-                trained->update(pc, (pc >> 2 ^ round) & 1);
-            }
+            for (const std::uint64_t pc : pcs)
+                trained->step(pc, (pc >> 2 ^ round) & 1);
         }
         trained->reset();
 
@@ -91,13 +89,15 @@ TEST(Registry, ResetRestoresThePowerOnState)
         // and a second reset must change nothing (idempotence).
         std::vector<bool> after_first;
         for (const std::uint64_t pc : pcs) {
-            EXPECT_EQ(trained->predict(pc), fresh->predict(pc))
+            const bool taken = (pc >> 3 & 1) != 0;
+            after_first.push_back(trained->step(pc, taken));
+            EXPECT_EQ(after_first.back(), fresh->step(pc, taken))
                 << info.kind << " pc=" << pc;
-            after_first.push_back(trained->predict(pc));
         }
         trained->reset();
         for (std::size_t i = 0; i < pcs.size(); ++i) {
-            EXPECT_EQ(trained->predict(pcs[i]), after_first[i])
+            EXPECT_EQ(trained->step(pcs[i], (pcs[i] >> 3 & 1) != 0),
+                      after_first[i])
                 << info.kind;
         }
     }

@@ -126,7 +126,7 @@ TEST(Fuzz, RandomConfigsSurviveRandomStreams)
 
 TEST(Fuzz, SimulateMatchesManualLoop)
 {
-    // simulate() must agree exactly with a hand-rolled predict/update
+    // simulate() must agree exactly with a hand-rolled step()
     // loop for any predictor kind.
     Rng rng(0xd1ff);
     for (int round = 0; round < 40; ++round) {
@@ -143,8 +143,7 @@ TEST(Fuzz, SimulateMatchesManualLoop)
         std::uint64_t wrong = 0;
         for (std::size_t i = 0; i < trace.size(); ++i) {
             const BranchRecord &record = trace[i];
-            wrong += by_hand->predict(record.pc) != record.taken;
-            by_hand->update(record.pc, record.taken);
+            wrong += by_hand->step(record.pc, record.taken) != record.taken;
         }
         ASSERT_EQ(result.mispredictions, wrong);
         ASSERT_EQ(result.branches, trace.size());
@@ -163,11 +162,14 @@ TEST(Fuzz, ResetAfterAnyWorkloadIsClean)
         for (int i = 0; i < 2000; ++i) {
             const std::uint64_t pc =
                 0x400000 + 4 * stream_rng.nextBounded(2048);
-            worked->update(pc, stream_rng.nextBool(0.5));
+            worked->step(pc, stream_rng.nextBool(0.5));
         }
         worked->reset();
-        for (std::uint64_t pc = 0x400000; pc < 0x400400; pc += 4)
-            ASSERT_EQ(worked->predict(pc), fresh->predict(pc)) << pc;
+        for (std::uint64_t pc = 0x400000; pc < 0x400400; pc += 4) {
+            const bool taken = (pc >> 3 & 1) != 0;
+            ASSERT_EQ(worked->step(pc, taken), fresh->step(pc, taken))
+                << pc;
+        }
     }
 }
 

@@ -15,17 +15,17 @@
 #include <vector>
 
 #include "naive_perceptron.hh"
+#include "oracle_paths.hh"
 #include "predictors/perceptron.hh"
 #include "sim/replay_kernel.hh"
-#include "trace/packed_trace.hh"
 #include "util/random.hh"
-#include "workload/benchmarks.hh"
-#include "workload/generator.hh"
 
 namespace bpsim
 {
 namespace
 {
+
+using oracle_paths::gccTrace;
 
 struct Step
 {
@@ -60,19 +60,6 @@ aliasedStream(unsigned n, std::size_t length, std::uint64_t seed)
         history = (history << 1) | (taken ? 1 : 0);
     }
     return stream;
-}
-
-/** The first 100k records of gcc's trace, packed: the generator
- *  streams, so a 100k-record spec yields exactly those. */
-const PackedTrace &
-gccTrace()
-{
-    static const PackedTrace packed = [] {
-        WorkloadSpec spec = *findBenchmark("gcc");
-        spec.dynamicBranches = 100'000;
-        return PackedTrace(generateWorkloadTrace(spec));
-    }();
-    return packed;
 }
 
 PerceptronPredictor

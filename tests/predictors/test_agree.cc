@@ -24,21 +24,21 @@ TEST(Agree, LearnsStrongBiases)
 {
     AgreePredictor predictor(tinyConfig());
     for (int i = 0; i < 20; ++i) {
-        predictor.update(0x1000, true);
-        predictor.update(0x2004, false);
+        predictor.step(0x1000, true);
+        predictor.step(0x2004, false);
     }
-    EXPECT_TRUE(predictor.predict(0x1000));
-    EXPECT_FALSE(predictor.predict(0x2004));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
+    EXPECT_FALSE(predictionFor(predictor, 0x2004));
 }
 
 TEST(Agree, BiasBitFixedAtFirstOutcome)
 {
     AgreePredictor predictor(tinyConfig());
-    predictor.update(0x1000, false); // bias := not-taken
+    predictor.step(0x1000, false); // bias := not-taken
     // Subsequent taken outcomes train "disagree", not the bias.
     for (int i = 0; i < 10; ++i)
-        predictor.update(0x1000, true);
-    EXPECT_TRUE(predictor.predict(0x1000))
+        predictor.step(0x1000, true);
+    EXPECT_TRUE(predictionFor(predictor, 0x1000))
         << "counter must have learned to disagree with the NT bias";
 }
 
@@ -53,10 +53,8 @@ TEST(Agree, ConvertsDestructiveAliasingToNeutral)
 
     int wrong = 0;
     for (int i = 0; i < 100; ++i) {
-        wrong += predictor.predict(pc_taken) != true;
-        predictor.update(pc_taken, true);
-        wrong += predictor.predict(pc_not_taken) != false;
-        predictor.update(pc_not_taken, false);
+        wrong += predictor.step(pc_taken, true) != true;
+        wrong += predictor.step(pc_not_taken, false) != false;
     }
     EXPECT_LE(wrong, 3) << "aliased opposite biases must coexist";
 }
@@ -64,17 +62,17 @@ TEST(Agree, ConvertsDestructiveAliasingToNeutral)
 TEST(Agree, UnseenBranchDefaultsToTaken)
 {
     AgreePredictor predictor(tinyConfig());
-    EXPECT_TRUE(predictor.predict(0x5000));
+    EXPECT_TRUE(predictionFor(predictor, 0x5000));
 }
 
 TEST(Agree, ResetClearsBiasBits)
 {
     AgreePredictor predictor(tinyConfig());
-    predictor.update(0x1000, false);
+    predictor.step(0x1000, false);
     predictor.reset();
     // After reset the first outcome re-fixes the bias.
-    predictor.update(0x1000, true);
-    EXPECT_TRUE(predictor.predict(0x1000));
+    predictor.step(0x1000, true);
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Agree, StorageAccounting)

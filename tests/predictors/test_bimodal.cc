@@ -12,24 +12,25 @@ namespace
 TEST(Bimodal, StartsWeaklyTaken)
 {
     BimodalPredictor predictor(4);
-    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Bimodal, LearnsNotTakenBias)
 {
     BimodalPredictor predictor(4);
-    predictor.update(0x1000, false);
-    predictor.update(0x1000, false);
-    EXPECT_FALSE(predictor.predict(0x1000));
+    predictor.step(0x1000, false);
+    predictor.step(0x1000, false);
+    EXPECT_FALSE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Bimodal, PerAddressIsolationWithinTable)
 {
     BimodalPredictor predictor(8);
     for (int i = 0; i < 4; ++i)
-        predictor.update(0x1000, false);
-    EXPECT_FALSE(predictor.predict(0x1000));
-    EXPECT_TRUE(predictor.predict(0x1004)) << "other slot untouched";
+        predictor.step(0x1000, false);
+    EXPECT_FALSE(predictionFor(predictor, 0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1004))
+        << "other slot untouched";
 }
 
 TEST(Bimodal, AliasedAddressesShareCounter)
@@ -38,8 +39,8 @@ TEST(Bimodal, AliasedAddressesShareCounter)
     // 4 index bits of word address: pcs 16 words (64 bytes) apart
     // alias onto the same counter.
     for (int i = 0; i < 4; ++i)
-        predictor.update(0x1000, false);
-    EXPECT_FALSE(predictor.predict(0x1000 + 64));
+        predictor.step(0x1000, false);
+    EXPECT_FALSE(predictionFor(predictor, 0x1000 + 64));
     EXPECT_EQ(predictor.indexFor(0x1000), predictor.indexFor(0x1040));
 }
 
@@ -47,11 +48,11 @@ TEST(Bimodal, TracksBiasFlip)
 {
     BimodalPredictor predictor(4);
     for (int i = 0; i < 10; ++i)
-        predictor.update(0x1000, true);
-    EXPECT_TRUE(predictor.predict(0x1000));
+        predictor.step(0x1000, true);
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
     for (int i = 0; i < 3; ++i)
-        predictor.update(0x1000, false);
-    EXPECT_FALSE(predictor.predict(0x1000));
+        predictor.step(0x1000, false);
+    EXPECT_FALSE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Bimodal, DetailReportsCounter)
@@ -66,9 +67,9 @@ TEST(Bimodal, ResetRestoresInitialState)
 {
     BimodalPredictor predictor(4);
     for (int i = 0; i < 4; ++i)
-        predictor.update(0x1000, false);
+        predictor.step(0x1000, false);
     predictor.reset();
-    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Bimodal, StorageAccounting)
@@ -87,9 +88,9 @@ TEST(Bimodal, NameIncludesConfig)
 TEST(Bimodal, PredictIsConstStable)
 {
     const BimodalPredictor predictor(4);
-    const bool first = predictor.predict(0x1000);
+    const bool first = predictionFor(predictor, 0x1000);
     for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(predictor.predict(0x1000), first);
+        EXPECT_EQ(predictionFor(predictor, 0x1000), first);
 }
 
 } // namespace

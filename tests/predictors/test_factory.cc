@@ -24,8 +24,8 @@ TEST(PredictorSpec, ParsesParams)
 {
     const PredictorSpec spec = PredictorSpec::parse("gshare:n=12,h=8");
     EXPECT_EQ(spec.kind, "gshare");
-    EXPECT_EQ(spec.require("n"), 12u);
-    EXPECT_EQ(spec.require("h"), 8u);
+    EXPECT_EQ(spec.params.at("n"), 12u);
+    EXPECT_EQ(spec.params.at("h"), 8u);
 }
 
 TEST(PredictorSpec, GetWithDefault)
@@ -38,14 +38,7 @@ TEST(PredictorSpec, GetWithDefault)
 TEST(PredictorSpec, HexValues)
 {
     const PredictorSpec spec = PredictorSpec::parse("bimodal:n=0x0c");
-    EXPECT_EQ(spec.require("n"), 12u);
-}
-
-TEST(PredictorSpecDeath, MissingRequiredIsFatal)
-{
-    const PredictorSpec spec = PredictorSpec::parse("gshare:h=8");
-    EXPECT_EXIT(spec.require("n"), ::testing::ExitedWithCode(1),
-                "requires parameter");
+    EXPECT_EQ(spec.params.at("n"), 12u);
 }
 
 TEST(PredictorSpecTryParse, GoodSpecParses)
@@ -217,8 +210,7 @@ TEST(Factory, BuildsEveryKnownKind)
         const PredictorPtr predictor = makePredictor(info.example);
         ASSERT_NE(predictor, nullptr) << info.example;
         // Every predictor must answer the whole interface.
-        predictor->predict(0x1000);
-        predictor->update(0x1000, true);
+        predictor->step(0x1000, true);
         predictor->reset();
         EXPECT_FALSE(predictor->name().empty()) << info.example;
     }

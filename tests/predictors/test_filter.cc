@@ -27,28 +27,29 @@ TEST(Filter, UnfilteredBranchUsesPht)
     EXPECT_FALSE(predictor.isFiltered(0x1000));
     EXPECT_EQ(servingCounter(predictor, 0x1000),
               predictor.phtIndexFor(0x1000));
-    EXPECT_TRUE(predictor.predict(0x1000)) << "PHT starts weakly-taken";
+    EXPECT_TRUE(predictionFor(predictor, 0x1000))
+        << "PHT starts weakly-taken";
 }
 
 TEST(Filter, LongRunEngagesFilter)
 {
     FilterPredictor predictor(tinyConfig());
     for (int i = 0; i < 7; ++i)
-        predictor.update(0x1000, false);
+        predictor.step(0x1000, false);
     EXPECT_TRUE(predictor.isFiltered(0x1000));
     // Filter entries' ids follow the 16 PHT counters'.
     EXPECT_EQ(servingCounter(predictor, 0x1000),
               16u + predictor.filterIndexFor(0x1000));
-    EXPECT_FALSE(predictor.predict(0x1000));
+    EXPECT_FALSE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Filter, DirectionChangeDisengagesFilter)
 {
     FilterPredictor predictor(tinyConfig());
     for (int i = 0; i < 10; ++i)
-        predictor.update(0x1000, true);
+        predictor.step(0x1000, true);
     ASSERT_TRUE(predictor.isFiltered(0x1000));
-    predictor.update(0x1000, false);
+    predictor.step(0x1000, false);
     EXPECT_FALSE(predictor.isFiltered(0x1000));
 }
 
@@ -61,15 +62,13 @@ TEST(Filter, FilteredBranchesDoNotPolluteThePht)
     const std::uint64_t pc_not_taken = 0x1040; // same PHT slot (4 bits)
     // Engage the filter on the taken branch.
     for (int i = 0; i < 8; ++i)
-        predictor.update(pc_taken, true);
+        predictor.step(pc_taken, true);
     ASSERT_TRUE(predictor.isFiltered(pc_taken));
     // The not-taken branch trains the PHT undisturbed.
     int wrong = 0;
     for (int i = 0; i < 50; ++i) {
-        wrong += predictor.predict(pc_not_taken) != false;
-        predictor.update(pc_not_taken, false);
-        wrong += predictor.predict(pc_taken) != true;
-        predictor.update(pc_taken, true);
+        wrong += predictor.step(pc_not_taken, false) != false;
+        wrong += predictor.step(pc_taken, true) != true;
     }
     EXPECT_LE(wrong, 2) << "filtering must remove the interference";
 }
@@ -84,10 +83,8 @@ TEST(Filter, UnfilteredConflictStillInterferes)
     int wrong = 0;
     for (int i = 0; i < 40; ++i) {
         const bool a_outcome = i % 2 == 0; // alternates: never filtered
-        wrong += predictor.predict(pc_a) != a_outcome;
-        predictor.update(pc_a, a_outcome);
-        wrong += predictor.predict(pc_b) != !a_outcome;
-        predictor.update(pc_b, !a_outcome);
+        wrong += predictor.step(pc_a, a_outcome) != a_outcome;
+        wrong += predictor.step(pc_b, !a_outcome) != !a_outcome;
     }
     EXPECT_GT(wrong, 20);
 }
@@ -97,7 +94,7 @@ TEST(Filter, CounterIdsSpanPhtAndFilter)
     FilterPredictor predictor(tinyConfig());
     EXPECT_LT(servingCounter(predictor, 0x1000), 16u);
     for (int i = 0; i < 8; ++i)
-        predictor.update(0x1000, true);
+        predictor.step(0x1000, true);
     const std::uint64_t filter_id = servingCounter(predictor, 0x1000);
     EXPECT_GE(filter_id, 16u);
     EXPECT_LT(filter_id, predictor.directionCounters());
@@ -107,10 +104,10 @@ TEST(Filter, ResetDisengagesEverything)
 {
     FilterPredictor predictor(tinyConfig());
     for (int i = 0; i < 8; ++i)
-        predictor.update(0x1000, false);
+        predictor.step(0x1000, false);
     predictor.reset();
     EXPECT_FALSE(predictor.isFiltered(0x1000));
-    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Filter, StorageAccounting)

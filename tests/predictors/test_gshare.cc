@@ -18,7 +18,7 @@ train(BranchPredictor &predictor, std::uint64_t pc,
 {
     for (int r = 0; r < repetitions; ++r) {
         for (bool outcome : pattern)
-            predictor.update(pc, outcome);
+            predictor.step(pc, outcome);
     }
 }
 
@@ -30,9 +30,7 @@ TEST(Gshare, ZeroHistoryEqualsBimodal)
     BimodalPredictor bimodal(8);
     for (std::uint64_t pc : {0x1000ULL, 0x1004ULL, 0x2040ULL}) {
         for (bool outcome : {true, false, false, true, false}) {
-            EXPECT_EQ(gshare.predict(pc), bimodal.predict(pc));
-            gshare.update(pc, outcome);
-            bimodal.update(pc, outcome);
+            EXPECT_EQ(gshare.step(pc, outcome), bimodal.step(pc, outcome));
         }
     }
 }
@@ -45,13 +43,12 @@ TEST(Gshare, LearnsAlternatingPatternBimodalCannot)
     const std::uint64_t pc = 0x1000;
     bool outcome = false;
     for (int i = 0; i < 64; ++i) {
-        gshare.update(pc, outcome);
+        gshare.step(pc, outcome);
         outcome = !outcome;
     }
     int correct = 0;
     for (int i = 0; i < 32; ++i) {
-        correct += gshare.predict(pc) == outcome;
-        gshare.update(pc, outcome);
+        correct += gshare.step(pc, outcome) == outcome;
         outcome = !outcome;
     }
     EXPECT_EQ(correct, 32) << "trained gshare must nail the alternation";
@@ -69,7 +66,7 @@ TEST(Gshare, IndexXorsHistoryIntoLowBits)
     GsharePredictor gshare(8, 4);
     const std::uint64_t pc = 0x1000;
     const std::size_t before = gshare.indexFor(pc);
-    gshare.update(pc, true); // history becomes 0b1
+    gshare.step(pc, true); // history becomes 0b1
     const std::size_t after = gshare.indexFor(pc);
     EXPECT_EQ(before ^ after, 1u);
 }
@@ -83,7 +80,7 @@ TEST(Gshare, HighIndexBitsArePureAddress)
     const std::uint64_t pc_b = pc_a + (1ULL << (2 + 7)); // top index bit
     for (int i = 0; i < 16; ++i) {
         EXPECT_NE(gshare.indexFor(pc_a), gshare.indexFor(pc_b));
-        gshare.update(pc_a, i % 3 == 0);
+        gshare.step(pc_a, i % 3 == 0);
     }
 }
 
@@ -100,8 +97,8 @@ TEST(Gshare, DestructiveAliasingWithFullHistory)
 TEST(Gshare, InitializedWeaklyTaken)
 {
     GsharePredictor gshare(8, 8);
-    EXPECT_TRUE(gshare.predict(0x1000));
-    EXPECT_TRUE(gshare.predict(0x2000));
+    EXPECT_TRUE(predictionFor(gshare, 0x1000));
+    EXPECT_TRUE(predictionFor(gshare, 0x2000));
 }
 
 TEST(Gshare, ResetClearsHistoryAndCounters)
@@ -109,7 +106,7 @@ TEST(Gshare, ResetClearsHistoryAndCounters)
     GsharePredictor gshare(8, 8);
     train(gshare, 0x1000, {false, false, false}, 10);
     gshare.reset();
-    EXPECT_TRUE(gshare.predict(0x1000));
+    EXPECT_TRUE(predictionFor(gshare, 0x1000));
     EXPECT_EQ(gshare.indexFor(0x1000),
               GsharePredictor(8, 8).indexFor(0x1000));
 }

@@ -28,19 +28,19 @@ TEST(Gskew, LearnsStrongBiases)
     cfg.historyBits = 0;
     GskewPredictor predictor(cfg);
     for (int i = 0; i < 30; ++i) {
-        predictor.update(0x1000, true);
-        predictor.update(0x2004, false);
+        predictor.step(0x1000, true);
+        predictor.step(0x2004, false);
     }
-    EXPECT_TRUE(predictor.predict(0x1000));
-    EXPECT_FALSE(predictor.predict(0x2004));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
+    EXPECT_FALSE(predictionFor(predictor, 0x2004));
 }
 
 TEST(Gskew, BankZeroIsAddressIndexed)
 {
     GskewPredictor predictor(smallConfig());
     const std::size_t before = predictor.indexFor(0, 0x1000);
-    predictor.update(0x1000, true);
-    predictor.update(0x1000, false);
+    predictor.step(0x1000, true);
+    predictor.step(0x1000, false);
     EXPECT_EQ(predictor.indexFor(0, 0x1000), before)
         << "the bimodal bank must ignore history";
 }
@@ -50,7 +50,7 @@ TEST(Gskew, HashedBanksDependOnHistory)
     GskewPredictor predictor(smallConfig());
     const std::size_t b1 = predictor.indexFor(1, 0x1000);
     const std::size_t b2 = predictor.indexFor(2, 0x1000);
-    predictor.update(0x1000, true);
+    predictor.step(0x1000, true);
     // After a history change at least one hashed bank must move.
     EXPECT_TRUE(predictor.indexFor(1, 0x1000) != b1 ||
                 predictor.indexFor(2, 0x1000) != b2);
@@ -85,8 +85,8 @@ TEST(Gskew, MajorityOutvotesOneCorruptedBank)
     GskewPredictor predictor(smallConfig());
     // Train a strong taken branch.
     for (int i = 0; i < 20; ++i)
-        predictor.update(0x1000, true);
-    ASSERT_TRUE(predictor.predict(0x1000));
+        predictor.step(0x1000, true);
+    ASSERT_TRUE(predictionFor(predictor, 0x1000));
     // A colliding branch in one bank cannot flip the majority.
     // (Find a pc that collides with 0x1000 in bank 0 only.)
     std::uint64_t collider = 0;
@@ -104,8 +104,8 @@ TEST(Gskew, MajorityOutvotesOneCorruptedBank)
     }
     ASSERT_NE(collider, 0u) << "no single-bank collider found";
     for (int i = 0; i < 4; ++i)
-        predictor.update(collider, false);
-    EXPECT_TRUE(predictor.predict(0x1000))
+        predictor.step(collider, false);
+    EXPECT_TRUE(predictionFor(predictor, 0x1000))
         << "two clean banks must outvote the corrupted one";
 }
 
@@ -118,8 +118,8 @@ TEST(Gskew, PartialUpdatePreservesDissenters)
     // verify indirectly: train strongly taken, then one not-taken
     // outcome (misprediction -> all banks retrain).
     for (int i = 0; i < 10; ++i)
-        predictor.update(0x1000, true);
-    EXPECT_TRUE(predictor.predict(0x1000));
+        predictor.step(0x1000, true);
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Gskew, StorageAccounting)
@@ -136,9 +136,9 @@ TEST(Gskew, ResetRestoresTakenDefault)
 {
     GskewPredictor predictor(smallConfig());
     for (int i = 0; i < 20; ++i)
-        predictor.update(0x1000, false);
+        predictor.step(0x1000, false);
     predictor.reset();
-    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Gskew, DetailReportsBimodalBank)

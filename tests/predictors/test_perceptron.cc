@@ -27,7 +27,7 @@ TEST(Perceptron, FreshPredictsTaken)
 {
     // All-zero weights give output 0; the convention is taken.
     PerceptronPredictor predictor(smallConfig());
-    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
     EXPECT_EQ(predictor.outputFor(0x1000), 0);
 }
 
@@ -35,8 +35,8 @@ TEST(Perceptron, LearnsStrongBias)
 {
     PerceptronPredictor predictor(smallConfig());
     for (int i = 0; i < 100; ++i)
-        predictor.update(0x1000, false);
-    EXPECT_FALSE(predictor.predict(0x1000));
+        predictor.step(0x1000, false);
+    EXPECT_FALSE(predictionFor(predictor, 0x1000));
     EXPECT_LT(predictor.outputFor(0x1000), 0);
 }
 
@@ -45,13 +45,12 @@ TEST(Perceptron, LearnsAlternation)
     PerceptronPredictor predictor(smallConfig());
     bool outcome = false;
     for (int i = 0; i < 200; ++i) {
-        predictor.update(0x1000, outcome);
+        predictor.step(0x1000, outcome);
         outcome = !outcome;
     }
     int correct = 0;
     for (int i = 0; i < 50; ++i) {
-        correct += predictor.predict(0x1000) == outcome;
-        predictor.update(0x1000, outcome);
+        correct += predictor.step(0x1000, outcome) == outcome;
         outcome = !outcome;
     }
     EXPECT_GE(correct, 49);
@@ -73,13 +72,13 @@ TEST(Perceptron, LearnsDeepSingleBitCorrelation)
     int correct = 0, measured = 0;
     for (std::size_t i = 0; i < 2000; ++i) {
         a_outcomes.push_back(rng.nextBool(0.5));
-        predictor.update(0x1000, a_outcomes.back());
+        predictor.step(0x1000, a_outcomes.back());
         const bool b_outcome = i >= kLag && a_outcomes[i - kLag];
+        const bool predicted = predictor.step(0x1004, b_outcome);
         if (i >= 1000) {
             ++measured;
-            correct += predictor.predict(0x1004) == b_outcome;
+            correct += predicted == b_outcome;
         }
-        predictor.update(0x1004, b_outcome);
     }
     EXPECT_GE(correct, measured * 95 / 100);
 }
@@ -90,10 +89,10 @@ TEST(Perceptron, WeightsSaturate)
     cfg.weightBits = 4; // range -8..7
     PerceptronPredictor predictor(cfg);
     for (int i = 0; i < 1000; ++i)
-        predictor.update(0x1000, true);
+        predictor.step(0x1000, true);
     // Bias weight saturated at +7; with zero history contribution
     // magnitude stays within range.
-    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
     EXPECT_LE(predictor.outputFor(0x1000),
               7 * (1 + static_cast<int>(cfg.historyBits)));
 }
@@ -106,14 +105,12 @@ TEST(Perceptron, SeparateTableEntries)
     PerceptronPredictor predictor(smallConfig());
     int correct_a = 0, correct_b = 0;
     for (int i = 0; i < 60; ++i) {
+        const bool predicted_a = predictor.step(0x1000, false);
+        const bool predicted_b = predictor.step(0x1004, true);
         if (i >= 10) {
-            correct_a += predictor.predict(0x1000) == false;
+            correct_a += predicted_a == false;
+            correct_b += predicted_b == true;
         }
-        predictor.update(0x1000, false);
-        if (i >= 10) {
-            correct_b += predictor.predict(0x1004) == true;
-        }
-        predictor.update(0x1004, true);
     }
     EXPECT_GE(correct_a, 48);
     EXPECT_GE(correct_b, 48);
@@ -123,9 +120,9 @@ TEST(Perceptron, ResetZeroesWeights)
 {
     PerceptronPredictor predictor(smallConfig());
     for (int i = 0; i < 50; ++i)
-        predictor.update(0x1000, false);
+        predictor.step(0x1000, false);
     predictor.reset();
-    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
     EXPECT_EQ(predictor.outputFor(0x1000), 0);
 }
 

@@ -66,12 +66,37 @@ class PredictorPropertyTest
 
 TEST_P(PredictorPropertyTest, PredictIsConstAndStable)
 {
+    // A query that must not train steps a copy, so copies must be
+    // deep: a prediction read off a copy repeats, matches the real
+    // step, and leaves the predictor in step with a never-queried
+    // twin.
     const PredictorPtr predictor = make();
-    for (std::uint64_t pc : {0x1000ULL, 0x2348ULL, 0x9abcULL}) {
-        const bool first = predictor->predict(pc);
-        for (int i = 0; i < 5; ++i)
-            EXPECT_EQ(predictor->predict(pc), first);
-    }
+    const PredictorPtr twin = make();
+    const bool fast = visitFastPredictor(*predictor, [&](auto &core) {
+        for (const auto &[pc, outcome] : syntheticStream(1000, 5)) {
+            const bool first = predictionFor(core, pc);
+            ASSERT_EQ(predictionFor(core, pc), first) << GetParam();
+            ASSERT_EQ(core.stepFast(pc, outcome), first) << GetParam();
+            ASSERT_EQ(twin->step(pc, outcome), first) << GetParam();
+        }
+    });
+    EXPECT_TRUE(fast) << GetParam();
+}
+
+TEST_P(PredictorPropertyTest, StepPredictionIgnoresTheOutcome)
+{
+    // step() returns the prediction made before training: a copy
+    // stepped with the opposite outcome must return the same one.
+    const PredictorPtr predictor = make();
+    const bool fast = visitFastPredictor(*predictor, [&](auto &core) {
+        for (const auto &[pc, outcome] : syntheticStream(2000, 21)) {
+            auto flipped = core;
+            ASSERT_EQ(flipped.stepFast(pc, !outcome),
+                      predictor->step(pc, outcome))
+                << GetParam() << " at pc 0x" << std::hex << pc;
+        }
+    });
+    EXPECT_TRUE(fast) << GetParam();
 }
 
 TEST_P(PredictorPropertyTest, ResetReproducesFreshBehavior)
@@ -82,16 +107,14 @@ TEST_P(PredictorPropertyTest, ResetReproducesFreshBehavior)
 
     // Train, then reset.
     for (const auto &[pc, outcome] : stream)
-        trained->update(pc, outcome);
+        trained->step(pc, outcome);
     trained->reset();
 
     // From reset, behaviour must be bit-identical to a fresh build.
     for (const auto &[pc, outcome] : stream) {
-        ASSERT_EQ(trained->predict(pc), fresh->predict(pc))
+        ASSERT_EQ(trained->step(pc, outcome), fresh->step(pc, outcome))
             << GetParam() << " diverged after reset at pc 0x"
             << std::hex << pc;
-        trained->update(pc, outcome);
-        fresh->update(pc, outcome);
     }
 }
 
@@ -99,11 +122,8 @@ TEST_P(PredictorPropertyTest, DeterministicAcrossInstances)
 {
     const PredictorPtr a = make();
     const PredictorPtr b = make();
-    for (const auto &[pc, outcome] : syntheticStream(2000, 7)) {
-        ASSERT_EQ(a->predict(pc), b->predict(pc)) << GetParam();
-        a->update(pc, outcome);
-        b->update(pc, outcome);
-    }
+    for (const auto &[pc, outcome] : syntheticStream(2000, 7))
+        ASSERT_EQ(a->step(pc, outcome), b->step(pc, outcome)) << GetParam();
 }
 
 TEST_P(PredictorPropertyTest, CounterIdsStayInRange)
@@ -143,11 +163,11 @@ TEST_P(PredictorPropertyTest, LearnsAnUltraBiasedBranch)
     // the bias.
     const PredictorPtr predictor = make();
     for (int i = 0; i < 200; ++i)
-        predictor->update(0x4440, true);
-    EXPECT_TRUE(predictor->predict(0x4440)) << GetParam();
+        predictor->step(0x4440, true);
+    EXPECT_TRUE(predictor->step(0x4440, true)) << GetParam();
     for (int i = 0; i < 200; ++i)
-        predictor->update(0x8880, false);
-    EXPECT_FALSE(predictor->predict(0x8880)) << GetParam();
+        predictor->step(0x8880, false);
+    EXPECT_FALSE(predictor->step(0x8880, false)) << GetParam();
 }
 
 /** The swept configurations; PropertyCoverage below fails if a kind

@@ -21,9 +21,9 @@ TEST(Tournament, SelectsBetterComponent)
     TournamentPredictor predictor(6);
     bool outcome = true;
     for (int i = 0; i < 40; ++i, outcome = !outcome)
-        predictor.update(0x1000, outcome);
+        predictor.step(0x1000, outcome);
     EXPECT_GE(servingCounter(predictor, 0x1000), kBimodalCounters);
-    EXPECT_EQ(predictor.predict(0x1000), outcome);
+    EXPECT_EQ(predictionFor(predictor, 0x1000), outcome);
 }
 
 TEST(Tournament, SwitchesWhenBehaviorChanges)
@@ -31,16 +31,16 @@ TEST(Tournament, SwitchesWhenBehaviorChanges)
     TournamentPredictor predictor(6);
     bool outcome = true;
     for (int i = 0; i < 40; ++i, outcome = !outcome)
-        predictor.update(0x1000, outcome);
+        predictor.step(0x1000, outcome);
     EXPECT_GE(servingCounter(predictor, 0x1000), kBimodalCounters);
     // Now always not-taken: bimodal learns it in two outcomes while
     // each history gshare passes through starts weakly taken, so the
     // components disagree with bimodal right until the meta table
     // hands the branch back to bimodal.
     for (int i = 0; i < 20; ++i)
-        predictor.update(0x1000, false);
+        predictor.step(0x1000, false);
     EXPECT_LT(servingCounter(predictor, 0x1000), kBimodalCounters);
-    EXPECT_FALSE(predictor.predict(0x1000));
+    EXPECT_FALSE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Tournament, MetaTrainsOnlyOnDisagreement)
@@ -52,14 +52,14 @@ TEST(Tournament, MetaTrainsOnlyOnDisagreement)
     const std::size_t meta_index = (0x1000 >> 2) & 63;
     const std::uint8_t fresh = predictor.metaTableRef().value(meta_index);
     for (int i = 0; i < 20; ++i)
-        predictor.update(0x1000, true);
+        predictor.step(0x1000, true);
     EXPECT_EQ(predictor.metaTableRef().value(meta_index), fresh);
-    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
     // Alternation splits them (gshare learns it, bimodal cannot), and
     // the disagreements move the meta counter.
     bool outcome = false;
     for (int i = 0; i < 40; ++i, outcome = !outcome)
-        predictor.update(0x1000, outcome);
+        predictor.step(0x1000, outcome);
     EXPECT_NE(predictor.metaTableRef().value(meta_index), fresh);
 }
 
@@ -72,11 +72,9 @@ TEST(Tournament, StandardConfigBeatsComponentsOnMixedWork)
     int wrong = 0;
     const int rounds = 400;
     for (int i = 0; i < rounds; ++i) {
-        wrong += tournament.predict(0x1000) != alt;
-        tournament.update(0x1000, alt);
+        wrong += tournament.step(0x1000, alt) != alt;
         alt = !alt;
-        wrong += tournament.predict(0x2004) != true;
-        tournament.update(0x2004, true);
+        wrong += tournament.step(0x2004, true) != true;
     }
     EXPECT_LT(wrong, rounds / 4);
 }
@@ -103,9 +101,9 @@ TEST(Tournament, ResetRestoresEverything)
 {
     TournamentPredictor predictor(5);
     for (int i = 0; i < 30; ++i)
-        predictor.update(0x1000, false);
+        predictor.step(0x1000, false);
     predictor.reset();
-    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Tournament, NameListsComponents)

@@ -17,12 +17,11 @@ TEST(TwoLevel, GAgLearnsGlobalPattern)
     // Repeating TTN pattern: determined by the last 4 outcomes.
     const bool pattern[] = {true, true, false};
     for (int i = 0; i < 120; ++i)
-        gag.update(pc, pattern[i % 3]);
+        gag.step(pc, pattern[i % 3]);
     int correct = 0;
     for (int i = 0; i < 30; ++i) {
         const bool expected = pattern[i % 3];
-        correct += gag.predict(pc) == expected;
-        gag.update(pc, expected);
+        correct += gag.step(pc, expected) == expected;
     }
     EXPECT_GE(correct, 29);
 }
@@ -57,17 +56,15 @@ TEST(TwoLevel, PAgUsesLocalHistory)
     // index stream.
     bool a_outcome = false;
     for (int i = 0; i < 200; ++i) {
-        pag.update(pc_a, a_outcome);
+        pag.step(pc_a, a_outcome);
         a_outcome = !a_outcome;
-        pag.update(pc_b, true);
+        pag.step(pc_b, true);
     }
     int correct = 0;
     for (int i = 0; i < 40; ++i) {
-        correct += pag.predict(pc_a) == a_outcome;
-        pag.update(pc_a, a_outcome);
+        correct += pag.step(pc_a, a_outcome) == a_outcome;
         a_outcome = !a_outcome;
-        pag.update(pc_b, true);
-        correct += pag.predict(pc_b);
+        correct += pag.step(pc_b, true);
         ++i;
     }
     EXPECT_GE(correct, 38);
@@ -109,9 +106,9 @@ TEST(TwoLevel, ResetRestoresInitialPredictions)
 {
     TwoLevelPredictor gag(makeGAg(6));
     for (int i = 0; i < 50; ++i)
-        gag.update(0x1000, false);
+        gag.step(0x1000, false);
     gag.reset();
-    EXPECT_TRUE(gag.predict(0x1000));
+    EXPECT_TRUE(predictionFor(gag, 0x1000));
 }
 
 TEST(TwoLevelDeath, OversizedIndexIsFatal)
@@ -132,8 +129,8 @@ TEST_P(TaxonomyTest, LearnsStrongBias)
     TwoLevelPredictor predictor(GetParam());
     const std::uint64_t pc = 0x1230;
     for (int i = 0; i < 100; ++i)
-        predictor.update(pc, false);
-    EXPECT_FALSE(predictor.predict(pc));
+        predictor.step(pc, false);
+    EXPECT_FALSE(predictionFor(predictor, pc));
 }
 
 TEST_P(TaxonomyTest, DetailStaysInRange)

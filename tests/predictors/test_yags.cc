@@ -41,7 +41,7 @@ TEST(Yags, FallsBackToChoiceWhenCacheMisses)
 {
     YagsPredictor predictor(tinyConfig());
     // Fresh predictor: caches empty, choice weakly-taken.
-    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
     EXPECT_EQ(servingTable(predictor, 0x1000), kChoiceTable);
 }
 
@@ -49,11 +49,11 @@ TEST(Yags, LearnsStrongBiases)
 {
     YagsPredictor predictor(tinyConfig());
     for (int i = 0; i < 20; ++i) {
-        predictor.update(0x1000, true);
-        predictor.update(0x2004, false);
+        predictor.step(0x1000, true);
+        predictor.step(0x2004, false);
     }
-    EXPECT_TRUE(predictor.predict(0x1000));
-    EXPECT_FALSE(predictor.predict(0x2004));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
+    EXPECT_FALSE(predictionFor(predictor, 0x2004));
 }
 
 TEST(Yags, AllocatesExceptionOnBiasDeviation)
@@ -61,20 +61,20 @@ TEST(Yags, AllocatesExceptionOnBiasDeviation)
     YagsPredictor predictor(tinyConfig());
     // Establish a taken bias.
     for (int i = 0; i < 6; ++i)
-        predictor.update(0x1000, true);
+        predictor.step(0x1000, true);
     // One deviation allocates a not-taken-cache entry...
-    predictor.update(0x1000, false);
+    predictor.step(0x1000, false);
     // ...which now serves the prediction (cache hit overrides).
     EXPECT_EQ(servingTable(predictor, 0x1000),
               YagsPredictor::kNotTakenCache);
-    EXPECT_FALSE(predictor.predict(0x1000));
+    EXPECT_FALSE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Yags, NoAllocationWhenChoiceCorrect)
 {
     YagsPredictor predictor(tinyConfig());
     for (int i = 0; i < 6; ++i)
-        predictor.update(0x1000, true);
+        predictor.step(0x1000, true);
     // Outcome agrees with the bias: no exception entry is created.
     EXPECT_EQ(servingTable(predictor, 0x1000), kChoiceTable);
 }
@@ -87,13 +87,13 @@ TEST(Yags, TagsSeparateAliasedBranches)
     const std::uint64_t pc_b = pc_a + (1ULL << (2 + 4)); // differs above
     // Train A taken-biased with one exception; B stays not-taken.
     for (int i = 0; i < 6; ++i)
-        predictor.update(pc_a, true);
-    predictor.update(pc_a, false); // allocates NT-cache for A's tag
+        predictor.step(pc_a, true);
+    predictor.step(pc_a, false); // allocates NT-cache for A's tag
     for (int i = 0; i < 6; ++i)
-        predictor.update(pc_b, false);
+        predictor.step(pc_b, false);
     // B's choice is NT; it consults the taken cache, where A's NT
     // entry must not match (different tag / different cache).
-    EXPECT_FALSE(predictor.predict(pc_b));
+    EXPECT_FALSE(predictionFor(predictor, pc_b));
 }
 
 TEST(Yags, DeAliasesOppositeBiasedBranches)
@@ -105,10 +105,8 @@ TEST(Yags, DeAliasesOppositeBiasedBranches)
     const std::uint64_t pc_not_taken = 0x1040;
     int wrong = 0;
     for (int i = 0; i < 100; ++i) {
-        wrong += predictor.predict(pc_taken) != true;
-        predictor.update(pc_taken, true);
-        wrong += predictor.predict(pc_not_taken) != false;
-        predictor.update(pc_not_taken, false);
+        wrong += predictor.step(pc_taken, true) != true;
+        wrong += predictor.step(pc_not_taken, false) != false;
     }
     EXPECT_LE(wrong, 3);
 }
@@ -132,11 +130,11 @@ TEST(Yags, ResetClearsCaches)
 {
     YagsPredictor predictor(tinyConfig());
     for (int i = 0; i < 6; ++i)
-        predictor.update(0x1000, true);
-    predictor.update(0x1000, false);
+        predictor.step(0x1000, true);
+    predictor.step(0x1000, false);
     predictor.reset();
     EXPECT_EQ(servingTable(predictor, 0x1000), kChoiceTable);
-    EXPECT_TRUE(predictor.predict(0x1000));
+    EXPECT_TRUE(predictionFor(predictor, 0x1000));
 }
 
 TEST(Yags, DetailInRange)

@@ -382,8 +382,7 @@ TEST(BankKernel, RefusesUnknownKindUntouched)
     // A user subclass of the interface, of no registered type.
     struct Unregistered : BranchPredictor
     {
-        bool predict(std::uint64_t) const override { return true; }
-        void update(std::uint64_t, bool) override {}
+        bool step(std::uint64_t, bool) override { return true; }
         void reset() override {}
         std::string name() const override { return "unregistered"; }
         std::uint64_t storageBits() const override { return 0; }
